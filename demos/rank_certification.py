@@ -57,20 +57,9 @@ print("correct-rank fraction: %.3f"
 # rebuild a physical state from replica 0 using the accepted rank
 if report.chosen_rank is not None:
     rho_true = ts.build_state(state)
-    # rebuild the full eigensystem of the linear estimate for replica 0;
-    # the ensemble stores eigenvalues only, so rerun that one replica
-    from tomospectra.estimation import (correlations_from_frequencies,
-                                        reconstruct_from_values)
-    from tomospectra.pauli import setting_probability_table
-    from tomospectra.sampling import _draw_counts, stream
-
-    probs = setting_probability_table(rho_true, N_QUBITS)
-    freqs = np.empty_like(probs)
-    for s in range(probs.shape[0]):
-        counts_s = _draw_counts(stream(17, 0, s), probs[s], config.count_model)
-        freqs[s] = counts_s / counts_s.sum()
-    vals, _ = correlations_from_frequencies(freqs, N_QUBITS)
-    rho_lin = reconstruct_from_values(vals, N_QUBITS)
+    # the ensemble stores eigenvalues only; replay replica 0's linear
+    # estimate from its seed streams to get the eigenvectors as well
+    rho_lin = ts.replica_estimator(config)(0)
     w, v = np.linalg.eigh(rho_lin)
 
     rho_phys = reconstruct_physical_estimate(w, v, report)

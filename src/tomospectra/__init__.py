@@ -11,7 +11,6 @@ goodness of fit.
 __version__ = "0.1.0"
 
 from .pauli import (
-    Outcome,
     PauliString,
     Setting,
     StateSpec,
@@ -26,22 +25,15 @@ from .sampling import (
     MULTINOMIAL,
     POISSON,
     CountModel,
-    CountRecord,
     EmptySettingError,
-    SeedPolicy,
-    frequencies,
-    sample_counts,
     stream,
 )
 from .estimation import (
     CompleteSchemeFrame,
-    CorrelationTensor,
     Spectrum,
     build_complete_frame,
     correlations_from_frequencies,
     estimate_complete,
-    estimate_correlations,
-    reconstruct_linear,
     spectrum_of,
 )
 from .models import (
@@ -68,6 +60,7 @@ from .gof import (
     anderson_darling,
     estimate_rank,
     reconstruct_physical_estimate,
+    sup_cdf_distance,
     unphysical_fraction,
 )
 from .ensemble import (
@@ -81,6 +74,8 @@ from .ensemble import (
     SpectrumEnsemble,
     empirical_moments,
     load_ensemble,
+    replica_estimator,
+    replica_frequencies,
     run_ensemble,
     save_ensemble,
 )

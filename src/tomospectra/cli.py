@@ -25,7 +25,7 @@ from .ensemble import (
     run_ensemble,
     save_ensemble,
 )
-from .gof import estimate_rank
+from .gof import estimate_rank, sup_cdf_distance
 from .pauli import StateSpec
 from .sampling import MULTINOMIAL, POISSON, CountModel
 
@@ -114,20 +114,15 @@ def predict(qubits, counts, q, rank, fmt):
         rank = 0 if q == 0.0 else 1
     if not 0 <= rank < 2**qubits:
         raise _bad("must lie in 0..2^n-1", "--rank")
-    center = models.semicircle_center(qubits, q, rank)
-    # a single signal eigenvalue barely deforms the bulk, so its radius
-    # is quoted without the rank correction; explicit r > 1 gets it
-    effective_r = 0 if rank == 1 and q > 0 else rank
-    radius = models.semicircle_radius(qubits, counts, effective_r)
-    model = models.SemicircleModel(center=center, radius=radius)
+    model = models.SemicircleModel.for_state(qubits, counts, q, rank)
     doc = {
         "qubits": qubits,
         "counts": counts,
         "signal_weight": q,
         "rank": rank,
-        "center": center,
-        "radius": radius,
-        "width": 2.0 * radius,
+        "center": model.center,
+        "radius": model.radius,
+        "width": 2.0 * model.radius,
         "physicality_probability": models.physicality_probability(model, qubits),
     }
     if q > 0:
@@ -273,21 +268,9 @@ def _overlay_model(config):
         q, r = state.q, state.r
     else:
         q, r = state.q, 1
-    center = models.semicircle_center(n, q, r)
-    effective_r = 0 if r == 1 and q > 0 else r
-    radius = models.semicircle_radius(n, counts, effective_r)
-    model = models.SemicircleModel(center=center, radius=radius)
-    return model, {"family": "semicircle", "center": center, "radius": radius,
-                   "width": 2.0 * radius}
-
-
-def _sup_cdf_distance(sorted_values, cdf):
-    """Kolmogorov distance between the empirical CDF and a model CDF."""
-    m = sorted_values.size
-    theory = np.asarray(cdf(sorted_values), dtype=float)
-    upper = np.abs(np.arange(1, m + 1) / m - theory).max()
-    lower = np.abs(np.arange(0, m) / m - theory).max()
-    return float(max(upper, lower))
+    model = models.SemicircleModel.for_state(n, counts, q, r)
+    return model, {"family": "semicircle", "center": model.center,
+                   "radius": model.radius, "width": 2.0 * model.radius}
 
 
 @cli.command()
@@ -333,7 +316,7 @@ def analyze(in_dir, bins, out_dir, fmt):
     doc = ensemble.summary()
     doc["bins"] = bins
     doc["model"] = model_doc
-    doc["sup_cdf_distance"] = _sup_cdf_distance(pooled, model.cdf)
+    doc["sup_cdf_distance"] = sup_cdf_distance(pooled, model.cdf)
     doc["files"] = {
         "histogram": os.path.join(out_dir, HISTOGRAM_FILE),
         "overlay": os.path.join(out_dir, OVERLAY_FILE),

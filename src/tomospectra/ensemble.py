@@ -9,7 +9,10 @@ over many replicas and stacks the sorted spectra as rows of a single
 array.  Each (replica, setting) pair owns a private counter-based
 random stream derived from the master seed, so the ensemble is a pure
 function of its configuration: the same master seed gives bit-identical
-rows no matter how replicas are scheduled over worker processes.
+rows no matter how replicas are scheduled over worker processes.  The
+chain up to the estimate is written once, in `replica_estimator` (with
+the count draws in `replica_frequencies`); the runner and every replay
+of a single replica go through it.
 
 On disk an ensemble is a plain directory:
 
@@ -44,7 +47,7 @@ from .pauli import (
     correlation_tensor_values,
     setting_probability_table,
 )
-from .sampling import CountModel, EmptySettingError, _draw_counts, stream
+from .sampling import MULTINOMIAL, CountModel, EmptySettingError, stream
 
 OVERCOMPLETE = "overcomplete"
 COMPLETE = "complete"
@@ -255,34 +258,45 @@ def empirical_moments(ensemble, k_max=6):
     return {k: float(np.mean(centered**k)) for k in range(2, k_max + 1)}
 
 
-def _replica_spectrum_overcomplete(probs, model, master_seed, replica, n):
-    """Spectrum of one linear estimate from the 3^n-setting scheme."""
+def replica_frequencies(probs, model, master_seed, replica):
+    """The (3**n, 2**n) frequency table of one overcomplete-scheme replica.
+
+    Row s holds the counts of setting s, drawn from the stream
+    ``stream(master_seed, replica, s)`` under the count model, divided
+    by their total.  ``probs`` is the table of exact outcome
+    probabilities from `setting_probability_table`.  A setting that
+    drew no events (possible under Poisson counts) raises
+    ``EmptySettingError`` naming the replica and the setting.
+    """
     freqs = np.empty_like(probs)
+    budget = model.events_per_setting
     for s in range(probs.shape[0]):
         rng = stream(master_seed, replica, s)
-        counts = _draw_counts(rng, probs[s], model)
+        if model.mode == MULTINOMIAL:
+            # a multinomial row always totals the budget
+            freqs[s] = rng.multinomial(budget, probs[s]) / budget
+            continue
+        counts = rng.poisson(budget * probs[s])
         total = counts.sum()
         if total == 0:
-            raise EmptySettingError("setting %d drew zero events" % s)
+            raise EmptySettingError(
+                "replica %d, setting %d drew zero events" % (replica, s))
         freqs[s] = counts / total
-    values, _ = correlations_from_frequencies(freqs, n)
-    rho = reconstruct_from_values(values, n)
-    return np.linalg.eigvalsh(rho)
+    return freqs
 
 
-def _replica_spectrum_complete(frame, intensity, n_flux, master_seed, replica):
-    """Spectrum of one linear estimate from the 4^n-projector scheme."""
-    rng = stream(master_seed, replica, 0)
-    counts = rng.poisson(intensity)
-    rho = estimate_complete(frame, counts, n_flux)
-    return np.linalg.eigvalsh(rho)
+def replica_estimator(config):
+    """The map ``replica -> rho_hat`` of one configuration.
 
-
-def _block_rows(config, start, stop):
-    """Simulate replicas [start, stop) and return their spectra rows."""
+    The state and its probability table (overcomplete scheme) or frame
+    (complete scheme) are built once, here; each call then draws one
+    replica from its own seed streams and returns the linear estimate,
+    so ``replica_estimator(config)(i)`` replays replica ``i`` of
+    ``run_ensemble(config)`` bit for bit, eigenvectors included.
+    """
     rho = build_state(config.state)
     n = config.state.n
-    rows = np.empty((stop - start, 2**n))
+    seed = config.master_seed
     if config.scheme == COMPLETE:
         frame = build_complete_frame(n)
         # detection intensity per projector: the nominal budget N_total
@@ -292,15 +306,25 @@ def _block_rows(config, start, stop):
         p_v = np.clip(frame.probabilities(correlation_tensor_values(rho)), 0.0, None)
         intensity = p_v * (config.total_counts / 2**n)
         n_flux = config.total_counts / 4**n
-        for i, replica in enumerate(range(start, stop)):
-            rows[i] = _replica_spectrum_complete(
-                frame, intensity, n_flux, config.master_seed, replica)
+
+        def estimate(replica):
+            counts = stream(seed, replica, 0).poisson(intensity)
+            return estimate_complete(frame, counts, n_flux)
     else:
         probs = setting_probability_table(rho, n)
-        for i, replica in enumerate(range(start, stop)):
-            rows[i] = _replica_spectrum_overcomplete(
-                probs, config.count_model, config.master_seed, replica, n)
-    return rows
+        model = config.count_model
+
+        def estimate(replica):
+            freqs = replica_frequencies(probs, model, seed, replica)
+            values, _ = correlations_from_frequencies(freqs, n)
+            return reconstruct_from_values(values, n)
+    return estimate
+
+
+def _block_rows(config, start, stop):
+    """Simulate replicas [start, stop) and return their spectra rows."""
+    estimate = replica_estimator(config)
+    return np.array([np.linalg.eigvalsh(estimate(r)) for r in range(start, stop)])
 
 
 def _resolve_workers(workers):

@@ -32,14 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import SIGMA, PauliString, Setting
+from .pauli import SIGMA
 
 __all__ = [
-    "CorrelationTensor",
     "Spectrum",
     "CompleteSchemeFrame",
-    "estimate_correlations",
-    "reconstruct_linear",
     "spectrum_of",
     "build_complete_frame",
     "estimate_complete",
@@ -101,39 +98,13 @@ def _subset_maps(n):
     return mu_index, multiplicity
 
 
-@dataclass(frozen=True)
-class CorrelationTensor:
-    """All 4**n estimated expectation values, flat-indexed by Pauli string.
-
-    ``multiplicity[mu]`` records how many settings contributed to entry
-    mu (3**j, j the number of identity labels).  The identity entry is 1
-    by construction.
-    """
-
-    n: int
-    values: np.ndarray
-    multiplicity: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (4**self.n,):
-            raise ValueError("expected 4**n correlation values")
-        if values[0] != 1.0:
-            raise ValueError("identity correlation must be exactly 1")
-        if np.abs(values).max() > 1.0 + 1e-12:
-            raise ValueError("correlation values must stay within [-1, 1]")
-
-    def value(self, mu):
-        mu = mu if isinstance(mu, PauliString) else PauliString(tuple(mu))
-        return float(self.values[mu.index])
-
-
 def correlations_from_frequencies(freqs, n):
     """Correlation values from the (3**n, 2**n) frequency table.
 
-    This is the array core of `estimate_correlations`; the frequency rows
-    must be ordered by setting index.
+    The frequency rows must be ordered by setting index.  Returns the
+    4**n values T~_mu, flat-indexed by Pauli string with the identity
+    entry exactly 1, and the multiplicity 3**j(mu) of each entry (the
+    number of settings that contributed to it).
     """
     signed = freqs @ _hadamard_signs(n)  # (settings, subsets) signed sums
     mu_index, multiplicity = _subset_maps(n)
@@ -141,39 +112,6 @@ def correlations_from_frequencies(freqs, n):
     values = sums / multiplicity
     values[0] = 1.0  # frequencies are normalized, force exactness
     return values, multiplicity
-
-
-def estimate_correlations(records):
-    """Average all 3**n count records into a CorrelationTensor.
-
-    Parameters
-    ----------
-    records : sequence of CountRecord
-        Exactly one record per setting, each with at least one event.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no count records")
-    first = records[0]
-    n = first.setting.n if first.setting is not None else None
-    if n is None:
-        raise ValueError("count records must carry their settings")
-    if len(records) != 3**n:
-        raise ValueError("expected %d records, got %d" % (3**n, len(records)))
-    freqs = np.empty((3**n, 2**n))
-    seen = set()
-    for rec in records:
-        if rec.setting is None:
-            raise ValueError("count record without a setting")
-        if rec.total == 0:
-            raise ValueError("setting %r recorded zero events" % (rec.setting,))
-        idx = rec.setting.index
-        if idx in seen:
-            raise ValueError("duplicate setting %r" % (rec.setting,))
-        seen.add(idx)
-        freqs[idx] = rec.counts / rec.total
-    values, multiplicity = correlations_from_frequencies(freqs, n)
-    return CorrelationTensor(n=n, values=values, multiplicity=multiplicity)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +128,6 @@ def reconstruct_from_values(values, n):
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     rho = t.transpose(perm).reshape(2**n, 2**n)
     return rho / 2**n
-
-
-def reconstruct_linear(tensor):
-    """Linear density-matrix estimate from a CorrelationTensor.
-
-    Hermitian by construction; the trace equals the identity entry, i.e.
-    exactly 1.  Positivity is *not* enforced — that is the point.
-    """
-    return reconstruct_from_values(tensor.values, tensor.n)
 
 
 @dataclass(frozen=True)

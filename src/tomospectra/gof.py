@@ -17,7 +17,6 @@ testing, not fitted to the tested sample's shape).
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -33,6 +32,7 @@ __all__ = [
     "a2_null_cdf",
     "estimate_rank",
     "reconstruct_physical_estimate",
+    "sup_cdf_distance",
     "unphysical_fraction",
     "NoAcceptedRankError",
 ]
@@ -77,7 +77,6 @@ def _a2_series_term(j, z):
     return coeff * (4 * j + 1) * math.exp(-b) * integral
 
 
-@lru_cache(maxsize=4096)
 def a2_null_cdf(z):
     """P(A^2 <= z) under the fully-specified null, asymptotic in sample size.
 
@@ -148,6 +147,19 @@ def anderson_darling(sample, model_cdf):
     s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
     statistic = -nbar - s / nbar
     return float(statistic), a2_null_sf(statistic)
+
+
+def sup_cdf_distance(sorted_values, cdf):
+    """Kolmogorov distance between the empirical CDF and a model CDF.
+
+    ``sorted_values`` must be ascending; the empirical CDF steps from
+    (i-1)/m to i/m at the i-th value, and both sides of every step count.
+    """
+    m = sorted_values.size
+    theory = np.asarray(cdf(sorted_values), dtype=float)
+    upper = np.abs(np.arange(1, m + 1) / m - theory).max()
+    lower = np.abs(np.arange(0, m) / m - theory).max()
+    return float(max(upper, lower))
 
 
 # ---------------------------------------------------------------------------

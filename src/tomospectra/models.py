@@ -34,8 +34,6 @@ __all__ = [
     "semicircle_center",
     "semicircle_radius",
     "semicircle_width",
-    "semicircle_pdf",
-    "semicircle_cdf",
     "semicircle_moment",
     "min_counts",
     "physicality_probability",
@@ -101,6 +99,17 @@ class SemicircleModel:
     def for_noise(cls, n, counts, q=0.0, r=0):
         return cls(semicircle_center(n, q, r), semicircle_radius(n, counts, r))
 
+    @classmethod
+    def for_state(cls, n, counts, q, r):
+        """The noise bulk of a q-weighted rank-r signal mixed into white noise.
+
+        A single signal eigenvalue barely deforms the bulk, so r = 1 with
+        q > 0 keeps the unshrunk radius; any other r gets the rank
+        correction, as in `for_noise`.
+        """
+        radius_rank = 0 if r == 1 and q > 0 else r
+        return cls(semicircle_center(n, q, r), semicircle_radius(n, counts, radius_rank))
+
     @property
     def support(self):
         return (self.center - self.radius, self.center + self.radius)
@@ -119,14 +128,6 @@ class SemicircleModel:
 
     def central_moment(self, k):
         return semicircle_moment(self, k)
-
-
-def semicircle_pdf(model, x):
-    return model.pdf(x)
-
-
-def semicircle_cdf(model, x):
-    return model.cdf(x)
 
 
 def catalan(k):

@@ -154,38 +154,6 @@ def outcome_signs(n):
     return signs
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """A tuple of +-1 measurement results, one per qubit."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
-        object.__setattr__(self, "signs", signs)
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("outcome signs must be +-1")
-
-    @property
-    def n(self):
-        return len(self.signs)
-
-    @property
-    def index(self):
-        idx = 0
-        for s in self.signs:
-            idx = 2 * idx + (0 if s == 1 else 1)
-        return idx
-
-    @classmethod
-    def from_index(cls, index, n):
-        signs = []
-        for k in range(n):
-            bit = (index >> (n - 1 - k)) & 1
-            signs.append(1 - 2 * bit)
-        return cls(tuple(signs))
-
-
 def pauli_matrix(mu):
     """Dense 2**n x 2**n matrix of the Pauli string ``mu``."""
     labels = mu.labels if isinstance(mu, PauliString) else _as_labels(mu)

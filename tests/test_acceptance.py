@@ -16,19 +16,8 @@ import pytest
 
 import tomospectra as ts
 from tomospectra.cli import main as cli_main
-from tomospectra.estimation import correlations_from_frequencies
+from tomospectra.gof import sup_cdf_distance
 from tomospectra.pauli import PauliString, build_state, setting_probability_table
-from tomospectra.sampling import _draw_counts, stream
-
-
-def sup_cdf_distance(sorted_values, cdf):
-    """Two-sided Kolmogorov distance of an empirical CDF from a model CDF."""
-    m = sorted_values.size
-    theory = np.asarray(cdf(sorted_values), dtype=float)
-    grid = np.arange(1, m + 1) / m
-    return float(
-        max(np.abs(grid - theory).max(), np.abs(grid - 1.0 / m - theory).max())
-    )
 
 
 def overcomplete_config(n, counts, replicas, seed, **state_kw):
@@ -238,13 +227,9 @@ def test_criterion_09_correlation_variances():
     model = ts.CountModel(ts.MULTINOMIAL, 300)
     reps = 10**4
     values = np.empty((reps, 16))
-    freqs = np.empty_like(probs)
     for rep in range(reps):
-        for s in range(9):
-            rng = stream(9, rep, s)
-            counts = _draw_counts(rng, probs[s], model)
-            freqs[s] = counts / counts.sum()
-        values[rep], _ = correlations_from_frequencies(freqs, 2)
+        freqs = ts.replica_frequencies(probs, model, 9, rep)
+        values[rep], _ = ts.correlations_from_frequencies(freqs, 2)
     j_index = np.array([PauliString.from_index(mu, 2).weight_j for mu in range(16)])
     variances = values.var(axis=0, ddof=1)
     full = variances[j_index == 0] * 300.0        # ratio to 1/N

@@ -6,19 +6,15 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from tomospectra.estimation import (
-    CorrelationTensor,
     Spectrum,
     build_complete_frame,
     correlations_from_frequencies,
     estimate_complete,
-    estimate_correlations,
     reconstruct_from_values,
-    reconstruct_linear,
     spectrum_of,
 )
 from tomospectra.pauli import (
     PauliString,
-    Setting,
     StateSpec,
     all_settings,
     build_state,
@@ -26,7 +22,6 @@ from tomospectra.pauli import (
     outcome_signs,
     setting_probability_table,
 )
-from tomospectra.sampling import CountRecord
 
 
 def brute_force_correlations(freqs, n):
@@ -80,28 +75,6 @@ def test_correlations_match_brute_force_oracle():
         np.testing.assert_allclose(values, expected, atol=1e-12)
 
 
-def test_estimate_correlations_bookkeeping():
-    rho = build_state(StateSpec(kind="dicke_plus_noise", n=2, q=0.5, k=1))
-    table = setting_probability_table(rho, 2)
-    records = []
-    for s in all_settings(2):
-        counts = np.round(table[s.index] * 10**6).astype(int)
-        records.append(
-            CountRecord(setting=s, counts=counts, total=int(counts.sum()))
-        )
-    tensor = estimate_correlations(records)
-    assert isinstance(tensor, CorrelationTensor)
-    np.testing.assert_allclose(
-        tensor.values, correlation_tensor_values(rho), atol=1e-5
-    )
-    assert tensor.value((0, 0)) == 1.0
-
-    with pytest.raises(ValueError):
-        estimate_correlations(records[:-1])
-    with pytest.raises(ValueError):
-        estimate_correlations(records[:-1] + [records[0]])
-
-
 def test_reconstruction_round_trip():
     rho = build_state(StateSpec(kind="rank_r_plus_noise", n=3, q=0.8, r=2, seed=5))
     values = correlation_tensor_values(rho)
@@ -109,12 +82,11 @@ def test_reconstruction_round_trip():
     np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
 
 
-def test_reconstruct_linear_from_tensor():
+def test_reconstruct_from_exact_frequencies():
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=2, q=0.4))
     table = setting_probability_table(rho, 2)
-    values, multiplicity = correlations_from_frequencies(table, 2)
-    tensor = CorrelationTensor(n=2, values=values, multiplicity=multiplicity)
-    np.testing.assert_allclose(reconstruct_linear(tensor), rho, atol=1e-10)
+    values, _ = correlations_from_frequencies(table, 2)
+    np.testing.assert_allclose(reconstruct_from_values(values, 2), rho, atol=1e-10)
 
 
 def test_spectrum_contract():
@@ -202,13 +174,6 @@ def test_estimate_complete_validation():
         estimate_complete(frame, np.ones(5), 100.0)
     with pytest.raises(ValueError):
         estimate_complete(frame, np.ones(4), 0.0)
-
-
-def test_correlation_tensor_invariants():
-    with pytest.raises(ValueError):
-        CorrelationTensor(n=1, values=np.array([0.9, 0, 0, 0]), multiplicity=np.ones(4))
-    with pytest.raises(ValueError):
-        CorrelationTensor(n=1, values=np.array([1.0, 1.5, 0, 0]), multiplicity=np.ones(4))
 
 
 @hyp_settings(max_examples=25, deadline=None)

@@ -17,6 +17,7 @@ from tomospectra.gof import (
     anderson_darling,
     estimate_rank,
     reconstruct_physical_estimate,
+    sup_cdf_distance,
     unphysical_fraction,
 )
 from tomospectra.models import SemicircleModel, semicircle_radius
@@ -289,3 +290,11 @@ def test_unphysical_fraction_counting():
     assert unphysical_fraction(fake) == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         unphysical_fraction(np.empty((0, 4)))
+
+
+# --- sup-CDF distance -----------------------------------------------------------
+
+
+def test_sup_cdf_distance_one_point():
+    # the empirical CDF jumps from 0 to 1 at 0.5, where the uniform CDF is 0.5
+    assert sup_cdf_distance(np.array([0.5]), lambda x: x) == 0.5

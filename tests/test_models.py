@@ -49,6 +49,17 @@ def test_radius_rank_correction():
     assert semicircle_radius(4, 4000) == pytest.approx(base / 2.0, rel=1e-15)
 
 
+def test_for_state_keeps_unshrunk_radius_for_one_signal_eigenvalue():
+    single = SemicircleModel.for_state(6, 230, 0.8, 1)
+    assert single.center == semicircle_center(6, 0.8, 1)
+    assert single.radius == semicircle_radius(6, 230, 0)
+    # r > 1, or r = 1 without signal weight, gets the rank correction
+    assert SemicircleModel.for_state(6, 230, 0.8, 3) == SemicircleModel.for_noise(
+        6, 230, q=0.8, r=3)
+    assert SemicircleModel.for_state(6, 230, 0.0, 1) == SemicircleModel.for_noise(
+        6, 230, r=1)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         semicircle_center(0)

@@ -9,7 +9,6 @@ from tomospectra.pauli import (
     MAX_QUBITS_DENSE,
     ROTATIONS,
     SIGMA,
-    Outcome,
     PauliString,
     Setting,
     StateSpec,
@@ -88,8 +87,6 @@ def test_outcome_conventions():
     assert signs[0].tolist() == [1, 1]
     assert signs[1].tolist() == [1, -1]
     assert signs[2].tolist() == [-1, 1]
-    for idx in range(4):
-        assert Outcome.from_index(idx, 2).index == idx
 
 
 def test_pauli_matrix_small_cases():
@@ -209,6 +206,18 @@ def test_outcome_probabilities_plus_state():
     np.testing.assert_allclose(
         outcome_probabilities(plus, Setting((3,))), [0.5, 0.5], atol=1e-12
     )
+
+
+def test_outcome_probabilities_hygiene():
+    z = Setting((3,))
+    with pytest.raises(ValueError):
+        outcome_probabilities(np.diag([0.5, 0.6]).astype(complex), z)  # sums to 1.1
+    with pytest.raises(ValueError):
+        outcome_probabilities(np.diag([1.5, -0.5]).astype(complex), z)
+    # tiny negatives from floating-point cancellation are clipped
+    probs = outcome_probabilities(np.diag([1.0 + 1e-13, -1e-13]).astype(complex), z)
+    assert probs[1] == 0.0
+    assert probs.sum() == 1.0
 
 
 def test_setting_probability_table_shape_and_normalization():

@@ -5,25 +5,38 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from tomospectra.pauli import Setting
+from tomospectra.ensemble import replica_frequencies
 from tomospectra.sampling import (
     MULTINOMIAL,
     POISSON,
     CountModel,
-    CountRecord,
     EmptySettingError,
-    SeedPolicy,
-    frequencies,
     philox_key,
-    sample_counts,
     stream,
 )
+
+# outcome probabilities of three settings on two qubits, in setting order
+PROBS = np.array([
+    [0.5, 0.25, 0.125, 0.125],
+    [0.25, 0.25, 0.25, 0.25],
+    [0.7, 0.0, 0.3, 0.0],
+])
 
 
 def test_stream_is_pure_function_of_triple():
     a = stream(42, 3, 17).integers(0, 2**63, size=4)
     b = stream(42, 3, 17).integers(0, 2**63, size=4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_stream_is_the_philox_generator_of_the_key():
+    for master, rep, setting in ((0, 0, 0), (42, 3, 17), (2**64 - 1, 2**32 - 1, 728)):
+        ours = stream(master, rep, setting)
+        reference = np.random.Generator(
+            np.random.Philox(key=philox_key(master, rep, setting)))
+        assert repr(ours.bit_generator.state) == repr(reference.bit_generator.state)
+        np.testing.assert_array_equal(ours.multinomial(100, PROBS[0], size=3),
+                                      reference.multinomial(100, PROBS[0], size=3))
 
 
 def test_streams_differ_across_coordinates():
@@ -53,13 +66,6 @@ def test_key_bounds_enforced():
     philox_key(2**64 + 5, 0, 0)
 
 
-def test_seed_policy_generator_matches_stream():
-    policy = SeedPolicy(master_seed=9, replica_index=2, setting_index=5)
-    a = policy.generator().integers(0, 2**63, size=3)
-    b = stream(9, 2, 5).integers(0, 2**63, size=3)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_count_model_validation():
     CountModel(MULTINOMIAL, 1)
     with pytest.raises(ValueError):
@@ -70,60 +76,42 @@ def test_count_model_validation():
 
 def test_multinomial_counts_total_and_reproducibility():
     model = CountModel(MULTINOMIAL, 500)
-    probs = np.array([0.5, 0.25, 0.125, 0.125])
-    ctx = SeedPolicy(master_seed=1, replica_index=0, setting_index=0)
-    rec1 = sample_counts(probs, model, ctx, setting=Setting((3, 3)))
-    rec2 = sample_counts(probs, model, ctx, setting=Setting((3, 3)))
-    assert rec1.total == 500
-    assert rec1.counts.sum() == 500
-    np.testing.assert_array_equal(rec1.counts, rec2.counts)
-    assert rec1.setting == Setting((3, 3))
-
-
-def test_poisson_counts_fluctuate_around_budget():
-    model = CountModel(POISSON, 400)
-    probs = np.full(8, 0.125)
-    totals = [
-        sample_counts(probs, model, SeedPolicy(3, rep, 0)).total
-        for rep in range(200)
-    ]
-    totals = np.asarray(totals, dtype=float)
-    assert abs(totals.mean() - 400) < 3 * np.sqrt(400 / 200)
-    assert totals.std() > 0
+    freqs = replica_frequencies(PROBS, model, 1, 0)
+    counts = np.round(freqs * 500)
+    np.testing.assert_allclose(freqs * 500, counts, atol=1e-9)
+    np.testing.assert_array_equal(counts.sum(axis=1), 500)
+    np.testing.assert_array_equal(freqs, replica_frequencies(PROBS, model, 1, 0))
+    assert not np.array_equal(freqs, replica_frequencies(PROBS, model, 1, 1))
 
 
 def test_multinomial_sampling_matches_numpy_generator_exactly():
-    """The count model is a direct multinomial draw from the named stream."""
-    probs = np.array([0.25, 0.25, 0.5])
-    model = CountModel(MULTINOMIAL, 123)
-    rec = sample_counts(probs, model, SeedPolicy(11, 7, 4))
-    expected = stream(11, 7, 4).multinomial(123, probs)
-    np.testing.assert_array_equal(rec.counts, expected)
+    """Row s is a direct multinomial draw from stream (master, replica, s)."""
+    freqs = replica_frequencies(PROBS, CountModel(MULTINOMIAL, 123), 11, 7)
+    for s, p in enumerate(PROBS):
+        np.testing.assert_array_equal(
+            freqs[s], stream(11, 7, s).multinomial(123, p) / 123)
 
 
-def test_probability_hygiene():
-    model = CountModel(MULTINOMIAL, 10)
-    ctx = SeedPolicy(0, 0, 0)
-    with pytest.raises(ValueError):
-        sample_counts(np.array([0.5, 0.6]), model, ctx)  # sums to 1.1
-    with pytest.raises(ValueError):
-        sample_counts(np.array([1.5, -0.5]), model, ctx)
-    # tiny negatives from floating-point cancellation are clipped
-    rec = sample_counts(np.array([1.0 + 1e-13, -1e-13]), model, ctx)
-    assert rec.counts[1] == 0
+def test_poisson_sampling_matches_numpy_generator_exactly():
+    """Row s is a Poisson draw from stream (master, replica, s), normalized."""
+    freqs = replica_frequencies(PROBS, CountModel(POISSON, 400), 3, 5)
+    for s, p in enumerate(PROBS):
+        counts = stream(3, 5, s).poisson(400 * p)
+        np.testing.assert_array_equal(freqs[s], counts / counts.sum())
 
 
-def test_count_record_validation_and_frequencies():
-    rec = CountRecord(setting=Setting((3,)), counts=np.array([7, 3]), total=10)
-    assert rec.total == 10
-    np.testing.assert_allclose(frequencies(rec), [0.7, 0.3])
-    with pytest.raises(ValueError):
-        CountRecord(setting=Setting((3,)), counts=np.array([-1, 2]), total=1)
-    with pytest.raises(ValueError):
-        CountRecord(setting=Setting((3,)), counts=np.array([7, 3]), total=9)
-    empty = CountRecord(setting=Setting((3,)), counts=np.array([0, 0]), total=0)
-    with pytest.raises(EmptySettingError):
-        frequencies(empty)
+def test_empty_poisson_setting_names_replica_and_setting():
+    """One expected event per setting: the first empty setting is reported."""
+    model = CountModel(POISSON, 1)
+    probs = np.full((9, 4), 0.25)
+    for replica in range(50):
+        empty = [s for s in range(9)
+                 if stream(0, replica, s).poisson(probs[s]).sum() == 0]
+        if empty:
+            break
+    with pytest.raises(EmptySettingError,
+                       match="replica %d, setting %d " % (replica, empty[0])):
+        replica_frequencies(probs, model, 0, replica)
 
 
 @hyp_settings(max_examples=30, deadline=None)
