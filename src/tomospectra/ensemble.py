@@ -26,6 +26,7 @@ with a distinct error type per failure mode.
 """
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -47,7 +48,7 @@ from .pauli import (
     correlation_tensor_values,
     setting_probability_table,
 )
-from .sampling import MULTINOMIAL, CountModel, EmptySettingError, stream
+from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekey, stream
 
 OVERCOMPLETE = "overcomplete"
 COMPLETE = "complete"
@@ -263,15 +264,19 @@ def replica_frequencies(probs, model, master_seed, replica):
 
     Row s holds the counts of setting s, drawn from the stream
     ``stream(master_seed, replica, s)`` under the count model, divided
-    by their total.  ``probs`` is the table of exact outcome
-    probabilities from `setting_probability_table`.  A setting that
-    drew no events (possible under Poisson counts) raises
+    by their total.  One generator is built per replica and `rekey`-ed
+    to each setting's stream in turn, which draws the same counts as a
+    fresh generator per setting.  ``probs`` is the table of exact
+    outcome probabilities from `setting_probability_table`.  A setting
+    that drew no events (possible under Poisson counts) raises
     ``EmptySettingError`` naming the replica and the setting.
     """
     freqs = np.empty_like(probs)
     budget = model.events_per_setting
+    rng = stream(master_seed, replica, 0)
     for s in range(probs.shape[0]):
-        rng = stream(master_seed, replica, s)
+        if s:
+            rekey(rng, master_seed, replica, s)
         if model.mode == MULTINOMIAL:
             # a multinomial row always totals the budget
             freqs[s] = rng.multinomial(budget, probs[s]) / budget
@@ -285,6 +290,17 @@ def replica_frequencies(probs, model, master_seed, replica):
     return freqs
 
 
+def _overcomplete_estimate(probs, model, master_seed, n, replica):
+    freqs = replica_frequencies(probs, model, master_seed, replica)
+    values, _ = correlations_from_frequencies(freqs, n)
+    return reconstruct_from_values(values, n)
+
+
+def _complete_estimate(frame, intensity, n_flux, master_seed, replica):
+    counts = stream(master_seed, replica, 0).poisson(intensity)
+    return estimate_complete(frame, counts, n_flux)
+
+
 def replica_estimator(config):
     """The map ``replica -> rho_hat`` of one configuration.
 
@@ -292,7 +308,9 @@ def replica_estimator(config):
     (complete scheme) are built once, here; each call then draws one
     replica from its own seed streams and returns the linear estimate,
     so ``replica_estimator(config)(i)`` replays replica ``i`` of
-    ``run_ensemble(config)`` bit for bit, eigenvectors included.
+    ``run_ensemble(config)`` bit for bit, eigenvectors included.  The
+    map is a picklable ``functools.partial``, so worker processes get
+    the prebuilt table or frame instead of building their own.
     """
     rho = build_state(config.state)
     n = config.state.n
@@ -306,24 +324,13 @@ def replica_estimator(config):
         p_v = np.clip(frame.probabilities(correlation_tensor_values(rho)), 0.0, None)
         intensity = p_v * (config.total_counts / 2**n)
         n_flux = config.total_counts / 4**n
-
-        def estimate(replica):
-            counts = stream(seed, replica, 0).poisson(intensity)
-            return estimate_complete(frame, counts, n_flux)
-    else:
-        probs = setting_probability_table(rho, n)
-        model = config.count_model
-
-        def estimate(replica):
-            freqs = replica_frequencies(probs, model, seed, replica)
-            values, _ = correlations_from_frequencies(freqs, n)
-            return reconstruct_from_values(values, n)
-    return estimate
+        return functools.partial(_complete_estimate, frame, intensity, n_flux, seed)
+    probs = setting_probability_table(rho, n)
+    return functools.partial(_overcomplete_estimate, probs, config.count_model, seed, n)
 
 
-def _block_rows(config, start, stop):
-    """Simulate replicas [start, stop) and return their spectra rows."""
-    estimate = replica_estimator(config)
+def _block_rows(estimate, start, stop):
+    """The spectra rows of replicas [start, stop) of one estimator."""
     return np.array([np.linalg.eigvalsh(estimate(r)) for r in range(start, stop)])
 
 
@@ -357,15 +364,16 @@ def run_ensemble(config, workers=None, progress=None):
     batch = max(1, min(1024, math.ceil(total / (4 * workers))))
     edges = [(a, min(a + batch, total)) for a in range(0, total, batch)]
     try:
+        estimate = replica_estimator(config)
         if workers == 1:
             for a, b in edges:
-                rows[a:b] = _block_rows(config, a, b)
+                rows[a:b] = _block_rows(estimate, a, b)
                 completed += b - a
                 if progress is not None:
                     progress(completed, total)
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_block_rows, config, a, b) for a, b in edges]
+                futures = [pool.submit(_block_rows, estimate, a, b) for a, b in edges]
                 for (a, b), fut in zip(edges, futures):
                     rows[a:b] = fut.result()
                     completed += b - a

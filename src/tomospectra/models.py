@@ -186,6 +186,14 @@ def physicality_probability(model, n):
     eigenvalue sits far above zero and is excluded): the semicircle mass
     on [max(0, c - R), c + R], raised to the 2**n - 1 power.  Equals 1
     as soon as the support is entirely nonnegative (c >= R).
+
+    The approximation holds while the support clears zero: white noise at
+    N=100 with n=2 (c - R = +0.084) is predicted always physical and
+    measured unphysical at a rate of 3e-6.  Once the edge crosses zero
+    it is too optimistic, because the eigenvalues of one replica repel
+    and its smallest one is not the minimum of independent draws: at
+    n=3 (c - R = -0.027) it predicts 0.731 physical against a measured
+    0.69-0.70, and at n=4 it predicts 0.022 against a measured < 0.001.
     """
     n = _check_n(n)
     lo = max(0.0, model.center - model.radius)

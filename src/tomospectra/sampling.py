@@ -19,7 +19,10 @@ random stream: a Philox generator keyed by::
 The stream is a pure function of the triple, so replicas and settings can
 be sampled in any order, split across any number of workers, and always
 reproduce the same counts bit for bit.  Replica and setting indices must
-stay below 2**32 each, which keeps the key injective.
+stay below 2**32 each, which keeps the key injective.  `stream` builds
+the generator of one triple; `rekey` moves an existing generator to the
+start of another triple's stream, which is half the cost of building a
+new one and yields the same state bit for bit.
 """
 
 from dataclasses import dataclass
@@ -72,6 +75,30 @@ def stream(master_seed, replica_index=0, setting_index=0):
     """The dedicated random generator of one (master, replica, setting)."""
     return np.random.Generator(np.random.Philox(
         _FixedKey(philox_key(master_seed, replica_index, setting_index))))
+
+
+# a fresh Philox: counter 0 and an empty output buffer (the state setter
+# copies these values, so sharing the arrays is safe)
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng, master_seed, replica_index, setting_index):
+    """Reset a `stream` generator to the start of another triple's stream.
+
+    Afterwards ``rng.bit_generator.state`` equals
+    ``stream(master_seed, replica_index, setting_index).bit_generator.state``
+    whatever ``rng`` drew before, so its draws are the ones that fresh
+    generator would make.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4,
+                  "key": philox_key(master_seed, replica_index, setting_index)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,31 @@ def test_run_ensemble_deterministic_across_workers():
     np.testing.assert_array_equal(seq.spectra, par.spectra)
 
 
+def test_run_ensemble_builds_the_probability_table_once(monkeypatch):
+    """One table per run, however many batches; workers get it prebuilt."""
+    import tomospectra.ensemble as ensemble_module
+
+    calls = []
+    build = ensemble_module.setting_probability_table
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ensemble_module, "setting_probability_table", counted)
+    cfg = ExperimentConfig.overcomplete(
+        StateSpec(kind="rank_r_plus_noise", n=3, q=0.6, r=2, seed=4),
+        CountModel(mode=MULTINOMIAL, events_per_setting=150),
+        replicas=12, master_seed=31)
+    batches = []
+    seq = run_ensemble(cfg, workers=1, progress=lambda d, t: batches.append(d))
+    assert len(batches) >= 4
+    assert len(calls) == 1
+    par = run_ensemble(cfg, workers=2)
+    assert len(calls) == 2
+    assert par.spectra.tobytes() == seq.spectra.tobytes()
+
+
 def test_run_ensemble_extends_prefix():
     """Replica i's spectrum is independent of how many replicas follow."""
     short = run_ensemble(small_config(reps=4))

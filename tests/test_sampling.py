@@ -12,6 +12,7 @@ from tomospectra.sampling import (
     CountModel,
     EmptySettingError,
     philox_key,
+    rekey,
     stream,
 )
 
@@ -37,6 +38,20 @@ def test_stream_is_the_philox_generator_of_the_key():
         assert repr(ours.bit_generator.state) == repr(reference.bit_generator.state)
         np.testing.assert_array_equal(ours.multinomial(100, PROBS[0], size=3),
                                       reference.multinomial(100, PROBS[0], size=3))
+
+
+def test_rekey_gives_the_fresh_stream_state():
+    """A used generator rekeyed to (r, s) is the generator stream(m, r, s)."""
+    master = 2**63 + 9
+    rng = stream(master, 5, 0)
+    for rep, setting in ((5, 728), (0, 3), (5, 1), (2**32 - 1, 0), (0, 3), (7, 2**32 - 1)):
+        rng.multinomial(100, PROBS[0])  # leave a used counter and buffer behind
+        rng.integers(0, 10, dtype=np.uint32)  # and a half-used 64-bit word
+        rekey(rng, master, rep, setting)
+        fresh = stream(master, rep, setting)
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        np.testing.assert_array_equal(rng.multinomial(100, PROBS[2], size=2),
+                                      fresh.multinomial(100, PROBS[2], size=2))
 
 
 def test_streams_differ_across_coordinates():
