@@ -192,6 +192,8 @@ class SpectrumEnsemble:
         if spectra.ndim != 2 or spectra.shape != (self.config.replicas, dim):
             raise ValueError("expected a (%d, %d) spectra array"
                              % (self.config.replicas, dim))
+        if not np.isfinite(spectra).all():
+            raise ValueError("spectra must be finite (no NaN or inf)")
         if np.any(np.diff(spectra, axis=1) < 0):
             raise ValueError("each spectrum row must be sorted ascending")
         if np.abs(spectra.sum(axis=1) - 1.0).max() > 1e-9:
@@ -427,11 +429,11 @@ def load_ensemble(path):
     when row length contradicts the configured qubit count.
     """
     try:
-        with open(os.path.join(path, CONFIG_FILE)) as fh:
+        with open(os.path.join(path, CONFIG_FILE), encoding="utf-8") as fh:
             meta = json.load(fh)
     except OSError as exc:
         raise MalformedEnsembleError("cannot read %s: %s" % (CONFIG_FILE, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise MalformedEnsembleError("%s is not valid JSON: %s" % (CONFIG_FILE, exc))
     if not isinstance(meta, dict) or "schema_version" not in meta:
         raise MalformedEnsembleError("%s lacks a schema_version" % CONFIG_FILE)
@@ -440,15 +442,15 @@ def load_ensemble(path):
                                  % (meta["schema_version"], SCHEMA_VERSION))
     try:
         config = ExperimentConfig.from_json(meta["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedEnsembleError("bad config block: %s" % exc)
 
     try:
         with open(os.path.join(path, SPECTRA_FILE), "rb") as fh:
             csv_bytes = fh.read()
-        with open(os.path.join(path, CHECKSUM_FILE)) as fh:
+        with open(os.path.join(path, CHECKSUM_FILE), encoding="utf-8") as fh:
             recorded = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedEnsembleError("cannot read ensemble files: %s" % exc)
     if not recorded:
         raise MalformedEnsembleError("%s is empty" % CHECKSUM_FILE)

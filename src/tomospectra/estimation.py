@@ -1,5 +1,9 @@
 """Linear state estimation: counts -> correlations -> matrix -> spectrum.
 
+Flat indices, tensor products and per-qubit contractions go through the
+register helpers of `tomospectra.pauli` (`digits`/`from_digits`,
+`kron_all`, `apply_per_qubit`); this module decodes no digits itself.
+
 Overcomplete local scheme
 -------------------------
 With all 3**n local settings measured, every Pauli string mu can be read
@@ -14,6 +18,8 @@ optimal), which cuts the variance to 1/(3**j N).
 The signed sums for all subsets at once are a Walsh-Hadamard transform of
 the frequency vector, so the whole correlation tensor costs one
 (3**n, 2**n) x (2**n, 2**n) matrix product plus a scatter-add.
+Reconstruction applies the single-qubit map from Pauli coefficients to
+matrix entries on each qubit axis (`apply_per_qubit`).
 
 Complete projector scheme
 --------------------------
@@ -22,9 +28,9 @@ The 4**n rank-1 projectors onto tensor products of |0>, |1>, |+> and
 matrix B with B[v, mu] = tr(sigma_mu P_v) / 2**n maps correlation values
 to projector probabilities; it factorizes as the n-fold Kronecker power
 of a single-qubit 4x4 block, so both B and its inverse are applied one
-qubit axis at a time and the dense matrix is never needed (it is still
-materialized on demand for small n, where checking invertibility
-literally is cheap).
+qubit axis at a time (`apply_per_qubit`) and the dense matrix is never
+needed (`kron_all` still materializes it on demand for small n, where
+checking invertibility literally is cheap).
 """
 
 from dataclasses import dataclass
@@ -32,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import SIGMA
+from .pauli import SIGMA, apply_per_qubit, digits, from_digits, kron_all
 
 __all__ = [
     "Spectrum",
@@ -55,11 +61,7 @@ def _hadamard_signs(n):
     S is a subset of qubits encoded as a bitmask (bit n-1-k for qubit k,
     matching the outcome index convention), r an outcome index.
     """
-    h = np.ones((1, 1))
-    block = np.array([[1.0, 1.0], [1.0, -1.0]])
-    for _ in range(n):
-        h = np.kron(h, block)
-    return h
+    return kron_all([np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
 
 
 @lru_cache(maxsize=None)
@@ -70,31 +72,13 @@ def _subset_maps(n):
     index measured by setting s restricted to subset S; multiplicity[mu]
     counts the settings compatible with mu, i.e. 3**j(mu).
     """
-    n_settings = 3**n
-    n_subsets = 2**n
-    mu_index = np.empty((n_settings, n_subsets), dtype=np.int64)
-    for s_idx in range(n_settings):
-        digits = []
-        tmp = s_idx
-        for _ in range(n):
-            digits.append(tmp % 3 + 1)
-            tmp //= 3
-        digits.reverse()  # qubit 0 first
-        for subset in range(n_subsets):
-            mu = 0
-            for k in range(n):
-                bit = (subset >> (n - 1 - k)) & 1
-                mu = 4 * mu + (digits[k] if bit else 0)
-            mu_index[s_idx, subset] = mu
-    multiplicity = np.empty(4**n, dtype=np.int64)
-    for mu_flat in range(4**n):
-        tmp = mu_flat
-        j = 0
-        for _ in range(n):
-            if tmp % 4 == 0:
-                j += 1
-            tmp //= 4
-        multiplicity[mu_flat] = 3**j
+    directions = digits(np.arange(3**n), 3, n) + 1  # (settings, qubits)
+    mu_index = np.empty((3**n, 2**n), dtype=np.int64)
+    # column S keeps each setting's directions on S and the identity elsewhere
+    for subset, in_subset in enumerate(digits(np.arange(2**n), 2, n)):
+        mu_index[:, subset] = from_digits(directions * in_subset, 4)
+    # each compatible setting reaches mu exactly once, through mu's support
+    multiplicity = np.bincount(mu_index.ravel(), minlength=4**n)
     return mu_index, multiplicity
 
 
@@ -119,14 +103,16 @@ def correlations_from_frequencies(freqs, n):
 # ---------------------------------------------------------------------------
 
 
+# per qubit, Pauli coefficients to matrix entries: [(i, j), mu] = sigma_mu[i, j]
+_PAULI_ENTRIES = SIGMA.reshape(4, 4).T
+
+
 def reconstruct_from_values(values, n):
     """Dense matrix 2**-n sum_mu T_mu sigma_mu from flat correlation values."""
-    t = np.asarray(values, dtype=complex).reshape((4,) * n)
-    for _ in range(n):
-        # consume the leading Pauli axis, append that qubit's (row, col) pair
-        t = np.tensordot(t, SIGMA, axes=([0], [0]))
+    t = apply_per_qubit(_PAULI_ENTRIES, np.asarray(values, dtype=complex), n)
+    # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    rho = t.transpose(perm).reshape(2**n, 2**n)
+    rho = t.reshape((2,) * (2 * n)).transpose(perm).reshape(2**n, 2**n)
     return rho / 2**n
 
 
@@ -196,14 +182,6 @@ _FRAME_KETS = np.array(
 )
 
 
-def _apply_kron_power(block, vec, n):
-    """(block tensor ... tensor block) @ vec without forming the big matrix."""
-    t = np.asarray(vec, dtype=float).reshape((4,) * n)
-    for _ in range(n):
-        t = np.tensordot(t, block, axes=([0], [1]))
-    return t.reshape(-1)
-
-
 @dataclass(frozen=True)
 class CompleteSchemeFrame:
     """The 4**n-projector tomography frame in Kronecker-factored form.
@@ -220,39 +198,25 @@ class CompleteSchemeFrame:
 
     def projector(self, v):
         """Dense rank-1 projector for flat frame index v."""
-        digits = []
-        tmp = v
-        for _ in range(self.n):
-            digits.append(tmp % 4)
-            tmp //= 4
-        digits.reverse()
-        ket = self.kets[digits[0]]
-        for d in digits[1:]:
-            ket = np.kron(ket, self.kets[d])
+        ket = kron_all(self.kets[digits(v, 4, self.n)])
         return np.outer(ket, ket.conj())
 
     @property
     def transfer_matrix(self):
         """Dense B (4**n x 4**n); fine for small n, avoid for n = 6."""
-        b = self.block
-        for _ in range(self.n - 1):
-            b = np.kron(b, self.block)
-        return b
+        return kron_all([self.block] * self.n)
 
     @property
     def transfer_inverse(self):
-        b = self.block_inv
-        for _ in range(self.n - 1):
-            b = np.kron(b, self.block_inv)
-        return b
+        return kron_all([self.block_inv] * self.n)
 
     def probabilities(self, values):
         """Projector probabilities p_v = B @ T from flat correlation values."""
-        return _apply_kron_power(self.block, values, self.n)
+        return apply_per_qubit(self.block, np.asarray(values, dtype=float), self.n)
 
     def correlations(self, frequencies):
         """Raw correlation vector B^-1 @ f (no normalization applied)."""
-        return _apply_kron_power(self.block_inv, frequencies, self.n)
+        return apply_per_qubit(self.block_inv, np.asarray(frequencies, dtype=float), self.n)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@
 
 Every qubit register is ordered left to right, qubit 0 first, and qubit 0
 is the most significant factor in all tensor products and flat indices.
+`digits`/`from_digits` (flat indices), `kron_all` (tensor products) and
+`apply_per_qubit` (Kronecker powers on a vector) are its one implementation.
 The fixed conventions used throughout the package are:
 
 * Pauli labels 0, 1, 2, 3 stand for the identity and the X, Y, Z operators.
@@ -20,6 +22,7 @@ with unit trace; positivity is deliberately *not* required, because the
 linear estimates this package studies are routinely non-positive.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +44,8 @@ SIGMA = np.array(
     ],
     dtype=complex,
 )
+# per qubit, tr(rho sigma_mu) = sum_ij _READ_PAULI[mu, (i, j)] rho[i, j]
+_READ_PAULI = SIGMA.transpose(0, 2, 1).reshape(4, 4)
 
 # Basis-change unitaries per measurement direction: row r is the bra of
 # the eigenvector with sign (-1)^r, so diag(U rho U^dagger) lists outcome
@@ -51,6 +56,40 @@ ROTATIONS = {
     2: np.array([[_SQRT2, -1j * _SQRT2], [_SQRT2, 1j * _SQRT2]], dtype=complex),
     3: np.eye(2, dtype=complex),
 }
+
+
+def _place_values(base, n):
+    # built from Python ints: past int64 NumPy keeps them exact as objects
+    return np.array([base**k for k in range(n - 1, -1, -1)])
+
+
+def digits(index, base, n):
+    """The n base-``base`` digits of an int or int array, as a new last axis."""
+    return np.asarray(index)[..., None] // _place_values(base, n) % base
+
+
+def from_digits(values, base):
+    """Inverse of `digits`: the flat index of the digits on the last axis."""
+    values = np.asarray(values)
+    return values @ _place_values(base, values.shape[-1])
+
+
+def kron_all(factors):
+    """factors[0] (x) factors[1] (x) ...: qubit 0 is the leftmost factor."""
+    return functools.reduce(np.kron, factors)
+
+
+def apply_per_qubit(block, vec, n):
+    """(block (x) ... (x) block) @ vec for n factors, one qubit axis at a time.
+
+    ``vec`` is an array of 4**n entries.  Each pass contracts the leading
+    axis of the (4,) * n tensor with ``block`` and appends the result last,
+    so the axes end in qubit order.
+    """
+    t = vec.reshape((4,) * n)
+    for _ in range(n):
+        t = np.tensordot(t, block, axes=([0], [1]))
+    return t.reshape(-1)
 
 
 def _as_labels(labels):
@@ -84,18 +123,11 @@ class PauliString:
     @property
     def index(self):
         """Flat base-4 index, qubit 0 most significant."""
-        idx = 0
-        for l in self.labels:
-            idx = 4 * idx + l
-        return idx
+        return int(from_digits(self.labels, 4))
 
     @classmethod
     def from_index(cls, index, n):
-        labels = []
-        for _ in range(n):
-            labels.append(index % 4)
-            index //= 4
-        return cls(tuple(reversed(labels)))
+        return cls(digits(index, 4, n).tolist())
 
     def __iter__(self):
         return iter(self.labels)
@@ -122,18 +154,11 @@ class Setting:
     @property
     def index(self):
         """Flat base-3 index (directions shifted to 0..2), qubit 0 first."""
-        idx = 0
-        for d in self.directions:
-            idx = 3 * idx + (d - 1)
-        return idx
+        return int(from_digits(np.subtract(self.directions, 1), 3))
 
     @classmethod
     def from_index(cls, index, n):
-        directions = []
-        for _ in range(n):
-            directions.append(index % 3 + 1)
-            index //= 3
-        return cls(tuple(reversed(directions)))
+        return cls((digits(index, 3, n) + 1).tolist())
 
     def __iter__(self):
         return iter(self.directions)
@@ -146,21 +171,13 @@ def all_settings(n):
 
 def outcome_signs(n):
     """(2**n, n) array of outcome signs in the fixed enumeration order."""
-    signs = np.empty((2**n, n), dtype=np.int64)
-    for r in range(2**n):
-        for k in range(n):
-            bit = (r >> (n - 1 - k)) & 1
-            signs[r, k] = 1 - 2 * bit
-    return signs
+    return 1 - 2 * digits(np.arange(2**n), 2, n)
 
 
 def pauli_matrix(mu):
     """Dense 2**n x 2**n matrix of the Pauli string ``mu``."""
     labels = mu.labels if isinstance(mu, PauliString) else _as_labels(mu)
-    out = SIGMA[labels[0]]
-    for l in labels[1:]:
-        out = np.kron(out, SIGMA[l])
-    return out
+    return kron_all(SIGMA[list(labels)])
 
 
 def check_density_matrix(rho, n=None):
@@ -220,8 +237,8 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise ValueError("unknown state kind %r" % (self.kind,))
-        if not 1 <= self.n <= MAX_QUBITS_DENSE:
-            raise ValueError("qubit number must be in 1..%d" % MAX_QUBITS_DENSE)
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_QUBITS_DENSE:
+            raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("signal weight q must lie in [0, 1]")
         if self.kind == "white_noise" and self.q != 0.0:
@@ -266,9 +283,7 @@ def dicke_vector(n, k):
     if not 0 <= k <= n:
         raise ValueError("excitation number k must lie in 0..n")
     psi = np.zeros(2**n, dtype=complex)
-    for idx in range(2**n):
-        if bin(idx).count("1") == k:
-            psi[idx] = 1.0
+    psi[digits(np.arange(2**n), 2, n).sum(axis=1) == k] = 1.0
     psi /= np.linalg.norm(psi)
     return psi
 
@@ -334,10 +349,7 @@ def pauli_expectation(rho, mu):
 def setting_rotation(setting):
     """Tensor product of the per-qubit basis-change unitaries for a setting."""
     directions = setting.directions if isinstance(setting, Setting) else tuple(setting)
-    u = ROTATIONS[directions[0]]
-    for d in directions[1:]:
-        u = np.kron(u, ROTATIONS[d])
-    return u
+    return kron_all([ROTATIONS[d] for d in directions])
 
 
 def outcome_probabilities(rho, setting):
@@ -387,14 +399,9 @@ def correlation_tensor_values(rho, n=None):
     """
     if n is None:
         n = rho.shape[0].bit_length() - 1
-    a = rho.reshape((2,) * (2 * n))
-    # interleave (row_0, col_0, row_1, col_1, ...)
+    # interleave (row_0, col_0, row_1, col_1, ...): one (i, j) axis per qubit
     perm = [ax for k in range(n) for ax in (k, n + k)]
-    a = a.transpose(perm)
-    for _ in range(n):
-        # sum_{i j} a[i, j, ...] sigma[mu, j, i] appends the mu axis last
-        a = np.tensordot(a, SIGMA, axes=([0, 1], [2, 1]))
-    values = a.reshape(-1)
+    values = apply_per_qubit(_READ_PAULI, rho.reshape((2,) * (2 * n)).transpose(perm), n)
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("correlation tensor has a non-negligible imaginary part")
     return values.real.copy()

@@ -107,7 +107,10 @@ class CountModel:
 
     ``multinomial`` draws exactly ``events_per_setting`` events;
     ``poisson`` treats it as the expectation and lets the per-outcome
-    counts fluctuate independently.
+    counts fluctuate independently.  A Poisson setting then draws zero
+    events with probability e^-N (N = ``events_per_setting``), and its
+    frequencies are undefined: the run aborts with ``EmptySettingError``
+    naming the replica and the setting (``simulate`` exits with code 2).
     """
 
     mode: str = MULTINOMIAL

@@ -163,6 +163,20 @@ def test_simulate_usage_errors(tmp_path, capsys, argv):
     assert err
 
 
+def test_simulate_poisson_empty_setting_is_a_runtime_error(tmp_path, capsys):
+    """Poisson mode aborts the run when a setting draws zero events.
+
+    Each setting is empty with probability e^-N; at N = 1 the very first
+    setting of replica 0 already is, and the message names both.
+    """
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--qubits", "2", "--counts", "1",
+                           "--count-mode", "poisson", "--reps", "10", "--out", str(out))
+    assert code == 2
+    assert "replica 0, setting 0 drew zero events" in err
+    assert not out.exists()
+
+
 def test_simulate_complete_scheme(tmp_path, capsys):
     out = tmp_path / "run"
     doc = run_json(

@@ -1,11 +1,15 @@
 """Ensemble runner, persistence round trips and failure modes."""
 
+import hashlib
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from tomospectra.ensemble import (
     CHECKSUM_FILE,
@@ -191,6 +195,14 @@ def test_spectrum_ensemble_validation():
         SpectrumEnsemble(config=cfg, spectra=good + 0.1)  # trace off
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectrum_ensemble_rejects_non_finite_rows(bad):
+    # NaN fails every comparison, so sorting and trace checks alone pass it
+    rows = np.array([[0.1, 0.2, 0.3, 0.4], [bad, 0.1, 0.4, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        SpectrumEnsemble(config=small_config(reps=2), spectra=rows)
+
+
 def test_moments_by_hand():
     cfg = small_config(reps=2)
     rows = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.4, 0.5]])
@@ -249,10 +261,18 @@ def test_load_checksum_mismatch(tmp_path):
 def _rewrite_spectra(out, new_bytes):
     """Replace spectra.csv and keep the checksum consistent with it."""
     (out / SPECTRA_FILE).write_bytes(new_bytes)
-    import hashlib
-
     digest = hashlib.sha256(new_bytes).hexdigest()
     (out / CHECKSUM_FILE).write_text(digest + "\n")
+
+
+def test_load_rejects_non_finite_spectra(tmp_path):
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    lines = (out / SPECTRA_FILE).read_bytes().splitlines()
+    lines[1] = b"0,nan,nan,nan,nan"
+    _rewrite_spectra(out, b"\n".join(lines) + b"\n")
+    with pytest.raises(MalformedEnsembleError, match="finite"):
+        load_ensemble(str(out))
 
 
 def test_load_truncated_rows(tmp_path):
@@ -292,6 +312,46 @@ def test_load_malformed_config(tmp_path):
         load_ensemble(str(out))
     with pytest.raises(MalformedEnsembleError):
         load_ensemble(str(tmp_path / "no_such_dir"))
+
+
+@pytest.mark.parametrize("name", [CONFIG_FILE, CHECKSUM_FILE])
+def test_load_non_utf8_text_file_is_malformed(tmp_path, name):
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    path = out / name
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])
+    with pytest.raises(MalformedEnsembleError):
+        load_ensemble(str(out))
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """The bytes of the three files of one small saved ensemble."""
+    out = tmp_path_factory.mktemp("saved")
+    save_ensemble(run_ensemble(small_config(reps=3, n=1)), str(out))
+    return {name: (out / name).read_bytes()
+            for name in (CONFIG_FILE, SPECTRA_FILE, CHECKSUM_FILE)}
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from([CONFIG_FILE, SPECTRA_FILE, CHECKSUM_FILE]),
+       edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                      min_size=1, max_size=8))
+def test_byte_corruption_raises_only_typed_errors(saved_files, name, edits):
+    """Overwritten bytes in any file load or raise one of the four typed errors."""
+    data = bytearray(saved_files[name])
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, content in saved_files.items():
+            with open(os.path.join(tmp, other), "wb") as fh:
+                fh.write(bytes(data) if other == name else content)
+        try:
+            loaded = load_ensemble(tmp)
+        except (MalformedEnsembleError, SchemaVersionError,
+                ChecksumMismatchError, DimensionMismatchError):
+            return
+    assert isinstance(loaded, SpectrumEnsemble)
 
 
 def test_loaded_statistics_match(tmp_path):

@@ -14,14 +14,20 @@ from tomospectra.estimation import (
     spectrum_of,
 )
 from tomospectra.pauli import (
-    PauliString,
     StateSpec,
-    all_settings,
     build_state,
     correlation_tensor_values,
-    outcome_signs,
     setting_probability_table,
 )
+
+
+def base_digits(index, base, n):
+    """Base-``base`` digits of ``index``, qubit 0 (most significant) first."""
+    out = []
+    for _ in range(n):
+        index, d = divmod(index, base)
+        out.append(d)
+    return out[::-1]
 
 
 def brute_force_correlations(freqs, n):
@@ -30,24 +36,25 @@ def brute_force_correlations(freqs, n):
     T~_mu = 3**-j(mu) * sum over compatible settings s of
             sum_r (prod_{k: mu_k != 0} r_k) f_r^s,
     a setting s being compatible when s_k == mu_k wherever mu_k != 0.
+    Indices are decoded here by divmod, not by the library's helpers.
     """
-    signs = outcome_signs(n)
-    settings = all_settings(n)
+    settings = [[d + 1 for d in base_digits(s, 3, n)] for s in range(3**n)]
+    signs = [[1 - 2 * b for b in base_digits(r, 2, n)] for r in range(2**n)]
     values = np.zeros(4**n)
     for idx in range(4**n):
-        mu = PauliString.from_index(idx, n).labels
+        mu = base_digits(idx, 4, n)
         active = [k for k in range(n) if mu[k] != 0]
         compatible = [
-            s for s in settings
-            if all(s.directions[k] == mu[k] for k in active)
+            s_idx for s_idx, s in enumerate(settings)
+            if all(s[k] == mu[k] for k in active)
         ]
         total = 0.0
-        for s in compatible:
+        for s_idx in compatible:
             for r in range(2**n):
                 weight = 1.0
                 for k in active:
-                    weight *= signs[r, k]
-                total += weight * freqs[s.index, r]
+                    weight *= signs[r][k]
+                total += weight * freqs[s_idx, r]
         values[idx] = total / len(compatible)
     return values
 
@@ -60,13 +67,12 @@ def test_exact_frequencies_give_exact_correlations():
     np.testing.assert_allclose(values, correlation_tensor_values(rho), atol=1e-10)
     # multiplicity must be 3**j
     for idx in range(64):
-        j = PauliString.from_index(idx, 3).weight_j
-        assert multiplicity[idx] == 3**j
+        assert multiplicity[idx] == 3 ** base_digits(idx, 4, 3).count(0)
 
 
 def test_correlations_match_brute_force_oracle():
     rng = np.random.default_rng(123)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         freqs = rng.dirichlet(np.ones(2**n), size=3**n)
         values, _ = correlations_from_frequencies(freqs, n)
         expected = brute_force_correlations(freqs, n)

@@ -13,13 +13,17 @@ from tomospectra.pauli import (
     Setting,
     StateSpec,
     all_settings,
+    apply_per_qubit,
     build_state,
     check_density_matrix,
     correlation_tensor_values,
     dicke_vector,
+    digits,
     fidelity,
+    from_digits,
     ghz_vector,
     haar_orthonormal_columns,
+    kron_all,
     outcome_probabilities,
     outcome_signs,
     pauli_expectation,
@@ -55,12 +59,42 @@ def test_rotation_rows_are_eigenbras():
             )
 
 
+@pytest.mark.parametrize("base, n", [(2, 1), (2, 5), (3, 4), (4, 3)])
+def test_digits_are_the_divmod_expansion_qubit_0_first(base, n):
+    indices = np.arange(base**n)
+    table = digits(indices, base, n)
+    for idx in indices:
+        expected, rest = [], int(idx)
+        for _ in range(n):
+            rest, d = divmod(rest, base)
+            expected.insert(0, d)
+        assert table[idx].tolist() == expected
+        assert digits(int(idx), base, n).tolist() == expected
+    np.testing.assert_array_equal(from_digits(table, base), indices)
+
+
+def test_kron_all_and_apply_per_qubit_agree_with_explicit_products():
+    rng = np.random.default_rng(11)
+    a, b, c = rng.standard_normal((3, 2, 2))
+    np.testing.assert_array_equal(kron_all([a, b, c]), np.kron(np.kron(a, b), c))
+    assert kron_all([a]) is a
+    block = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for n in (1, 2, 3):
+        vec = rng.standard_normal(4**n)
+        np.testing.assert_allclose(apply_per_qubit(block, vec, n),
+                                   kron_all([block] * n) @ vec, atol=1e-12)
+
+
 def test_pauli_string_round_trip():
     for idx in range(4**3):
         mu = PauliString.from_index(idx, 3)
         assert mu.index == idx
         assert mu.weight_j == sum(1 for l in mu.labels if l == 0)
     assert PauliString((0, 3, 1)).index == 0 * 16 + 3 * 4 + 1
+    # indices stay exact past the int64 range (4**40 > 2**63)
+    long = PauliString((3,) * 40)
+    assert long.index == 4**40 - 1
+    assert PauliString.from_index(long.index, 40) == long
 
 
 def test_pauli_string_rejects_bad_labels():
@@ -116,6 +150,8 @@ class TestStateSpec:
             StateSpec(kind="nope", n=2)
         with pytest.raises(ValueError):
             StateSpec(kind="white_noise", n=0)
+        with pytest.raises(ValueError, match="integer"):
+            StateSpec(kind="white_noise", n=1.5)  # not deferred to build_state
         with pytest.raises(ValueError):
             StateSpec(kind="white_noise", n=2, q=0.3)
         with pytest.raises(ValueError):
