@@ -57,6 +57,24 @@ CASES = {
         "c063932f6a1ec8d262149b72c560b78dc0b872741ab489e8cc5ebbc24fb404ba",
         2,
     ),
+    # n=2 is the hot workload; 4001 replicas make batches of 1001, 1001,
+    # 1001 and 998, so the run ends on a shorter stack than it starts with
+    "ovc2-wn-partial": (
+        lambda: ts.ExperimentConfig.overcomplete(
+            ts.StateSpec(kind="white_noise", n=2),
+            ts.CountModel(ts.MULTINOMIAL, 100), replicas=4001, master_seed=22),
+        "08261cdebade365f1aad7a873ac9151f10dfab9a8d1284b0cdfa3e82ed9e73f4",
+        1,
+    ),
+    # at n=1 each replica's frame inversion is a single (1, 4) x (4, 4)
+    # product, which BLAS rounds differently from a (B, 4) x (4, 4) one
+    "cmp1-rank1": (
+        lambda: ts.ExperimentConfig.complete(
+            ts.StateSpec(kind="rank_r_plus_noise", n=1, q=0.6, r=1, seed=12),
+            2e4, replicas=40, master_seed=21),
+        "851e58c51c66cfee41f9e82bf926313e06b922fe40fef141cca082617c2387e8",
+        1,
+    ),
 }
 
 
