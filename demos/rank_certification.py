@@ -59,7 +59,7 @@ if report.chosen_rank is not None:
     rho_true = ts.build_state(state)
     # the ensemble stores eigenvalues only; replay replica 0's linear
     # estimate from its seed streams to get the eigenvectors as well
-    rho_lin = ts.replica_estimator(config)(0)
+    rho_lin = ts.replica_estimator(config)([0])[0]
     w, v = np.linalg.eigh(rho_lin)
 
     rho_phys = reconstruct_physical_estimate(w, v, report)

@@ -11,8 +11,10 @@ random stream derived from the master seed, so the ensemble is a pure
 function of its configuration: the same master seed gives bit-identical
 rows no matter how replicas are scheduled over worker processes.  The
 chain up to the estimate is written once, in `replica_estimator` (with
-the count draws in `replica_frequencies`); the runner and every replay
-of a single replica go through it.
+the count draws in `replica_frequencies`), and runs on a stack of
+replicas at a time: one generator, one Walsh-Hadamard product, one
+reconstruction and one `eigvalsh` call per stack.  The runner and every
+replay of a single replica go through it.
 
 On disk an ensemble is a plain directory:
 
@@ -131,9 +133,10 @@ class ExperimentConfig:
                 raise ValueError("count_model applies to the overcomplete scheme only")
             if self.total_counts is None or not self.total_counts > 0:
                 raise ValueError("complete scheme requires positive total_counts")
-        if not isinstance(self.replicas, int) or self.replicas < 1:
+        # exact int type: a bool or a float read from config.json is rejected
+        if type(self.replicas) is not int or self.replicas < 1:
             raise ValueError("replicas must be a positive integer")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if type(self.master_seed) is not int or self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
 
     @classmethod
@@ -171,12 +174,13 @@ class ExperimentConfig:
         if scheme == OVERCOMPLETE:
             cm = doc["count_model"]
             count_model = CountModel(mode=cm["mode"],
-                                     events_per_setting=int(cm["events_per_setting"]))
+                                     events_per_setting=cm["events_per_setting"])
         else:
             total_counts = float(doc["total_counts"])
+        # integer fields are passed on uncast, so 3.9 is rejected, not truncated
         return cls(state=state, scheme=scheme, count_model=count_model,
-                   total_counts=total_counts, replicas=int(doc["replicas"]),
-                   master_seed=int(doc["master_seed"]))
+                   total_counts=total_counts, replicas=doc["replicas"],
+                   master_seed=doc["master_seed"])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -261,58 +265,91 @@ def empirical_moments(ensemble, k_max=6):
     return {k: float(np.mean(centered**k)) for k in range(2, k_max + 1)}
 
 
-def replica_frequencies(probs, model, master_seed, replica):
-    """The (3**n, 2**n) frequency table of one overcomplete-scheme replica.
+#: at most this many frequency-table entries (3**n x 2**n per replica) in
+#: one stack of replicas: the stacked back end drops per-replica call
+#: overhead at small n, and the cap keeps a stack of n=6 tables (one
+#: replica there) from growing the run's peak memory
+_STACK_ENTRIES = 2**16
 
-    Row s holds the counts of setting s, drawn from the stream
-    ``stream(master_seed, replica, s)`` under the count model, divided
-    by their total.  One generator is built per replica and `rekey`-ed
-    to each setting's stream in turn, which draws the same counts as a
-    fresh generator per setting.  ``probs`` is the table of exact
-    outcome probabilities from `setting_probability_table`.  A setting
-    that drew no events (possible under Poisson counts) raises
-    ``EmptySettingError`` naming the replica and the setting.
+
+def _draw_stack(master_seed, replicas, rates, draw):
+    """Counts of a stack of replicas, shape (len(replicas),) + rates.shape.
+
+    Row s of replica r is ``draw(rng, rates[s])`` with ``rng`` at the
+    start of the stream ``stream(master_seed, r, s)``.  One generator
+    serves the whole stack: built for the first (replica, row) stream and
+    `rekey`-ed to each later one, which draws the same counts as a fresh
+    generator per stream (at n=6 a stack is one replica, where a
+    redundant first rekey would show in the complete scheme's cost).
+    The counts are stored as floats, exact below 2**53, so callers
+    normalize the stack in place and no integer copy of it is held.
     """
-    freqs = np.empty_like(probs)
+    counts = np.empty((len(replicas),) + rates.shape)
+    rng = None
+    for i, replica in enumerate(replicas):
+        # indexed, not iterated: an ndarray iterator ends on a raised IndexError
+        for s in range(len(rates)):
+            if rng is None:
+                rng = stream(master_seed, replica, s)
+            else:
+                rekey(rng, master_seed, replica, s)
+            counts[i, s] = draw(rng, rates[s])
+    return counts
+
+
+def replica_frequencies(probs, model, master_seed, replicas):
+    """The (len(replicas), 3**n, 2**n) frequency tables of a stack of replicas.
+
+    Row s of replica r holds the counts of setting s, drawn from the
+    stream ``stream(master_seed, r, s)`` under the count model, divided
+    by their total.  ``probs`` is the table of exact outcome
+    probabilities from `setting_probability_table`.  A setting that drew
+    no events (possible under Poisson counts) raises
+    ``EmptySettingError`` naming the first such replica and setting in
+    draw order.
+    """
     budget = model.events_per_setting
-    rng = stream(master_seed, replica, 0)
-    for s in range(probs.shape[0]):
-        if s:
-            rekey(rng, master_seed, replica, s)
-        if model.mode == MULTINOMIAL:
-            # a multinomial row always totals the budget
-            freqs[s] = rng.multinomial(budget, probs[s]) / budget
-            continue
-        counts = rng.poisson(budget * probs[s])
-        total = counts.sum()
-        if total == 0:
-            raise EmptySettingError(
-                "replica %d, setting %d drew zero events" % (replica, s))
-        freqs[s] = counts / total
+    if model.mode == MULTINOMIAL:
+        freqs = _draw_stack(master_seed, replicas, probs,
+                            lambda rng, p: rng.multinomial(budget, p))
+        freqs /= budget  # a multinomial row always totals the budget
+        return freqs
+    freqs = _draw_stack(master_seed, replicas, budget * probs,
+                        lambda rng, lam: rng.poisson(lam))
+    totals = freqs.sum(axis=-1, keepdims=True)
+    empty = np.argwhere(totals[..., 0] == 0)
+    if len(empty):
+        i, s = empty[0]
+        raise EmptySettingError(
+            "replica %d, setting %d drew zero events" % (replicas[i], s))
+    freqs /= totals
     return freqs
 
 
-def _overcomplete_estimate(probs, model, master_seed, n, replica):
-    freqs = replica_frequencies(probs, model, master_seed, replica)
+def _overcomplete_estimate(probs, model, master_seed, n, replicas):
+    freqs = replica_frequencies(probs, model, master_seed, replicas)
     values, _ = correlations_from_frequencies(freqs, n)
     return reconstruct_from_values(values, n)
 
 
-def _complete_estimate(frame, intensity, n_flux, master_seed, replica):
-    counts = stream(master_seed, replica, 0).poisson(intensity)
-    return estimate_complete(frame, counts, n_flux)
+def _complete_estimate(frame, intensity, n_flux, master_seed, replicas):
+    counts = _draw_stack(master_seed, replicas, intensity[None],
+                         lambda rng, lam: rng.poisson(lam))
+    return estimate_complete(frame, counts[:, 0], n_flux)
 
 
 def replica_estimator(config):
-    """The map ``replica -> rho_hat`` of one configuration.
+    """The map ``replicas -> rho_hats`` of one configuration.
 
     The state and its probability table (overcomplete scheme) or frame
-    (complete scheme) are built once, here; each call then draws one
-    replica from its own seed streams and returns the linear estimate,
-    so ``replica_estimator(config)(i)`` replays replica ``i`` of
-    ``run_ensemble(config)`` bit for bit, eigenvectors included.  The
-    map is a picklable ``functools.partial``, so worker processes get
-    the prebuilt table or frame instead of building their own.
+    (complete scheme) are built once, here; each call then draws the
+    given replicas (a sequence of indices) from their own seed streams
+    and returns their linear estimates as one (len(replicas), 2**n, 2**n)
+    stack, so ``replica_estimator(config)([i])[0]`` replays replica ``i``
+    of ``run_ensemble(config)`` bit for bit, eigenvectors included, and
+    so does any split of the replicas into stacks.  The map is a
+    picklable ``functools.partial``, so worker processes get the
+    prebuilt table or frame instead of building their own.
     """
     rho = build_state(config.state)
     n = config.state.n
@@ -331,9 +368,11 @@ def replica_estimator(config):
     return functools.partial(_overcomplete_estimate, probs, config.count_model, seed, n)
 
 
-def _block_rows(estimate, start, stop):
-    """The spectra rows of replicas [start, stop) of one estimator."""
-    return np.array([np.linalg.eigvalsh(estimate(r)) for r in range(start, stop)])
+def _block_rows(estimate, start, stop, stack):
+    """The spectra rows of replicas [start, stop), ``stack`` replicas per estimate call."""
+    return np.concatenate([
+        np.linalg.eigvalsh(estimate(range(a, min(a + stack, stop))))
+        for a in range(start, stop, stack)])
 
 
 def _resolve_workers(workers):
@@ -367,15 +406,17 @@ def run_ensemble(config, workers=None, progress=None):
     edges = [(a, min(a + batch, total)) for a in range(0, total, batch)]
     try:
         estimate = replica_estimator(config)
+        stack = max(1, _STACK_ENTRIES // 6**config.state.n)
         if workers == 1:
             for a, b in edges:
-                rows[a:b] = _block_rows(estimate, a, b)
+                rows[a:b] = _block_rows(estimate, a, b, stack)
                 completed += b - a
                 if progress is not None:
                     progress(completed, total)
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_block_rows, estimate, a, b) for a, b in edges]
+                futures = [pool.submit(_block_rows, estimate, a, b, stack)
+                           for a, b in edges]
                 for (a, b), fut in zip(edges, futures):
                     rows[a:b] = fut.result()
                     completed += b - a

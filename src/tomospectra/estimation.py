@@ -33,6 +33,7 @@ needed (`kron_all` still materializes it on demand for small n, where
 checking invertibility literally is cheap).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,18 +84,27 @@ def _subset_maps(n):
 
 
 def correlations_from_frequencies(freqs, n):
-    """Correlation values from the (3**n, 2**n) frequency table.
+    """Correlation values from (3**n, 2**n) frequency tables.
 
-    The frequency rows must be ordered by setting index.  Returns the
-    4**n values T~_mu, flat-indexed by Pauli string with the identity
+    ``freqs`` is one table or a stack of them (leading axes); the rows
+    of a table must be ordered by setting index.  Returns the 4**n values
+    T~_mu of each table, flat-indexed by Pauli string with the identity
     entry exactly 1, and the multiplicity 3**j(mu) of each entry (the
     number of settings that contributed to it).
     """
-    signed = freqs @ _hadamard_signs(n)  # (settings, subsets) signed sums
+    signed = freqs @ _hadamard_signs(n)  # (..., settings, subsets) signed sums
     mu_index, multiplicity = _subset_maps(n)
-    sums = np.bincount(mu_index.ravel(), weights=signed.ravel(), minlength=4**n)
-    values = sums / multiplicity
-    values[0] = 1.0  # frequencies are normalized, force exactness
+    batch = signed.shape[:-2]
+    tables = math.prod(batch)
+    # one scatter-add for the stack: table b fills bins [b * 4**n, (b+1) * 4**n);
+    # a single table (every n=6 stack) scatters through the cached index as is,
+    # which keeps a 729 x 64 index temporary out of the n=6 peak memory
+    index = mu_index.ravel()
+    if tables > 1:
+        index = (index + np.arange(0, tables * 4**n, 4**n)[:, None]).ravel()
+    sums = np.bincount(index, weights=signed.ravel(), minlength=tables * 4**n)
+    values = sums.reshape(batch + (4**n,)) / multiplicity
+    values[..., 0] = 1.0  # frequencies are normalized, force exactness
     return values, multiplicity
 
 
@@ -108,11 +118,17 @@ _PAULI_ENTRIES = SIGMA.reshape(4, 4).T
 
 
 def reconstruct_from_values(values, n):
-    """Dense matrix 2**-n sum_mu T_mu sigma_mu from flat correlation values."""
-    t = apply_per_qubit(_PAULI_ENTRIES, np.asarray(values, dtype=complex), n)
+    """Dense matrix 2**-n sum_mu T_mu sigma_mu from flat correlation values.
+
+    ``values`` may carry leading stack axes; so does the result.
+    """
+    values = np.asarray(values, dtype=complex)
+    batch = values.shape[:-1]
+    t = apply_per_qubit(_PAULI_ENTRIES, values, n).reshape(batch + (2,) * (2 * n))
     # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    rho = t.reshape((2,) * (2 * n)).transpose(perm).reshape(2**n, 2**n)
+    lead = len(batch)
+    perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
+    rho = t.transpose(perm).reshape(batch + (2**n, 2**n))
     return rho / 2**n
 
 
@@ -245,14 +261,15 @@ def estimate_complete(frame, counts, n_flux):
     matrix; the correlation vector is then rescaled so its identity
     component is exactly 1, which keeps the trace pinned regardless of
     how the actual event total fluctuated around the nominal flux.
+    ``counts`` may carry leading stack axes; so does the estimate.
     """
     if n_flux <= 0:
         raise ValueError("flux must be positive")
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (4**frame.n,):
+    if counts.ndim == 0 or counts.shape[-1] != 4**frame.n:
         raise ValueError("expected %d projector counts" % 4**frame.n)
     raw = frame.correlations(counts / n_flux)
-    if abs(raw[0]) < 1e-12:
+    if (np.abs(raw[..., 0]) < 1e-12).any():
         raise ValueError("degenerate data: vanishing identity component")
-    values = raw / raw[0]
+    values = raw / raw[..., :1]
     return reconstruct_from_values(values, frame.n)

@@ -3,7 +3,8 @@
 Every qubit register is ordered left to right, qubit 0 first, and qubit 0
 is the most significant factor in all tensor products and flat indices.
 `digits`/`from_digits` (flat indices), `kron_all` (tensor products) and
-`apply_per_qubit` (Kronecker powers on a vector) are its one implementation.
+`apply_per_qubit` (Kronecker powers on a stack of vectors) are its one
+implementation.
 The fixed conventions used throughout the package are:
 
 * Pauli labels 0, 1, 2, 3 stand for the identity and the X, Y, Z operators.
@@ -80,16 +81,21 @@ def kron_all(factors):
 
 
 def apply_per_qubit(block, vec, n):
-    """(block (x) ... (x) block) @ vec for n factors, one qubit axis at a time.
+    """(block (x) ... (x) block) @ v for n factors, one qubit axis at a time.
 
-    ``vec`` is an array of 4**n entries.  Each pass contracts the leading
-    axis of the (4,) * n tensor with ``block`` and appends the result last,
-    so the axes end in qubit order.
+    ``vec`` holds vectors v of 4**n entries along its last axis; any
+    leading axes are a stack of such vectors.  Each pass contracts the
+    leading qubit axis of every (4,) * n tensor with ``block`` and appends
+    the result last, so the axes end in qubit order.  A pass is one
+    (4**(n-1), 4) x (4, 4) product per vector, the same BLAS call for a
+    stack as for a single vector, so stacking does not change the bits.
     """
-    t = vec.reshape((4,) * n)
+    batch = vec.shape[:-1]
+    t = vec.reshape(batch + (4,) * n)
     for _ in range(n):
-        t = np.tensordot(t, block, axes=([0], [1]))
-    return t.reshape(-1)
+        t = np.moveaxis(t, -n, -1).reshape(batch + (-1, 4)) @ block.T
+        t = t.reshape(batch + (4,) * n)
+    return t.reshape(vec.shape)
 
 
 def _as_labels(labels):
@@ -401,7 +407,8 @@ def correlation_tensor_values(rho, n=None):
         n = rho.shape[0].bit_length() - 1
     # interleave (row_0, col_0, row_1, col_1, ...): one (i, j) axis per qubit
     perm = [ax for k in range(n) for ax in (k, n + k)]
-    values = apply_per_qubit(_READ_PAULI, rho.reshape((2,) * (2 * n)).transpose(perm), n)
+    tensor = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(4**n)
+    values = apply_per_qubit(_READ_PAULI, tensor, n)
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("correlation tensor has a non-negligible imaginary part")
     return values.real.copy()

@@ -21,10 +21,12 @@ be sampled in any order, split across any number of workers, and always
 reproduce the same counts bit for bit.  Replica and setting indices must
 stay below 2**32 each, which keeps the key injective.  `stream` builds
 the generator of one triple; `rekey` moves an existing generator to the
-start of another triple's stream, which is half the cost of building a
+start of another triple's stream, which costs a fraction of building a
 new one and yields the same state bit for bit.
 """
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +43,20 @@ class EmptySettingError(ValueError):
     """A setting recorded zero events, so frequencies are undefined."""
 
 
+def _key_words(master_seed, replica_index, setting_index):
+    """The two 64-bit words of one triple's Philox key, as Python ints."""
+    # as Python ints, NumPy integers (np.arange indices) cannot overflow int64
+    master, replica, setting = map(operator.index, (master_seed, replica_index, setting_index))
+    if not 0 <= replica < _SHIFT:
+        raise ValueError("replica index out of the 32-bit seeding range")
+    if not 0 <= setting < _SHIFT:
+        raise ValueError("setting index out of the 32-bit seeding range")
+    return master & _MASK64, replica * _SHIFT + setting
+
+
 def philox_key(master_seed, replica_index, setting_index):
     """The 128-bit Philox key for one (master, replica, setting) triple."""
-    if not 0 <= replica_index < _SHIFT:
-        raise ValueError("replica index out of the 32-bit seeding range")
-    if not 0 <= setting_index < _SHIFT:
-        raise ValueError("setting index out of the 32-bit seeding range")
-    word = (replica_index * _SHIFT + setting_index) & _MASK64
-    return np.array([master_seed & _MASK64, word], dtype=np.uint64)
+    return np.array(_key_words(master_seed, replica_index, setting_index), dtype=np.uint64)
 
 
 class _FixedKey(ISeedSequence):
@@ -78,8 +86,8 @@ def stream(master_seed, replica_index=0, setting_index=0):
 
 
 # a fresh Philox: counter 0 and an empty output buffer (the state setter
-# copies these values, so sharing the arrays is safe)
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
+# copies the words out of plain tuples faster than out of arrays)
+_ZEROS4 = (0, 0, 0, 0)
 
 
 def rekey(rng, master_seed, replica_index, setting_index):
@@ -93,7 +101,7 @@ def rekey(rng, master_seed, replica_index, setting_index):
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS4,
-                  "key": philox_key(master_seed, replica_index, setting_index)},
+                  "key": _key_words(master_seed, replica_index, setting_index)},
         "buffer": _ZEROS4,
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -119,6 +127,10 @@ class CountModel:
     def __post_init__(self):
         if self.mode not in (MULTINOMIAL, POISSON):
             raise ValueError("count model mode must be multinomial or poisson")
-        if int(self.events_per_setting) < 1:
+        events = self.events_per_setting
+        # an integer type is required: int(100.7) would silently drop events
+        if isinstance(events, bool) or not isinstance(events, numbers.Integral):
+            raise ValueError("events per setting must be an integer, got %r" % (events,))
+        if events < 1:
             raise ValueError("events per setting must be >= 1")
-        object.__setattr__(self, "events_per_setting", int(self.events_per_setting))
+        object.__setattr__(self, "events_per_setting", int(events))

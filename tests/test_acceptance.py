@@ -4,8 +4,8 @@ Every stochastic criterion runs with a pinned master seed, so each test
 is deterministic; the quoted measured values come from the calibration
 run that froze those seeds.  Runtimes below come from a
 ``--durations=10`` run on a 2-vCPU guest: the whole suite takes about
-six and a half minutes, dominated by criteria 5 and 3 (documented per
-test; the >30 s ones carry the ``slow`` marker so they can be selected or skipped explicitly, but they run in
+four minutes, dominated by criteria 3 and 5 (documented per
+test; the >20 s ones carry the ``slow`` marker so they can be selected or skipped explicitly, but they run in
 the default invocation on purpose).
 """
 
@@ -53,7 +53,7 @@ def test_criterion_03_semicircle_moments():
     """White noise n=6, N=100, 10^4 replicas: m2 within 2% of (0.115741/2)^2,
     m4/m2^2 = 2 +- 0.1, m6/m2^3 = 5 +- 0.5.
 
-    Runtime ~115 s.  Measured at seed 1: m2 ratio 1.00007, m4/m2^2 =
+    Runtime ~105 s.  Measured at seed 1: m2 ratio 1.00007, m4/m2^2 =
     2.00034, m6/m2^3 = 5.00385.
     """
     ens = ts.run_ensemble(overcomplete_config(6, 100, 10**4, seed=1))
@@ -73,7 +73,7 @@ def test_criterion_04_single_qubit_cdf():
     """n=1, N=100, 10^5 replicas: sup distance between the pooled empirical
     CDF and the exact one-qubit law <= 0.01.
 
-    Runtime ~8 s.  Measured at seed 2: 0.00784.
+    Runtime ~2 s.  Measured at seed 2: 0.00784.
     """
     ens = ts.run_ensemble(overcomplete_config(1, 100, 10**5, seed=2))
     model = ts.single_qubit_density(100)
@@ -87,7 +87,7 @@ def test_criterion_05_unphysical_fractions():
     """Unphysical fractions at N=100: n=2 (10^6 replicas) <= 1e-4,
     n=3 (10^4) = 0.32 +- 0.02, n=4 (10^4) >= 0.999.
 
-    Runtime ~175 s, dominated by the 10^6-replica n=2 run.  Measured at
+    Runtime ~60 s, dominated by the 10^6-replica n=2 run.  Measured at
     seeds 52/53/54: 3e-06, 0.3057, 1.00000.
     """
     f2 = ts.run_ensemble(
@@ -111,7 +111,7 @@ def test_criterion_06_ghz_at_the_count_threshold():
     """GHZ+noise, n=6, q=0.8, N=132921, 2500 replicas: physical fraction
     0.959 +- 0.02 and pooled largest-eigenvalue mean 0.803 +- 0.003.
 
-    Runtime ~35 s.  Measured at seed 6: 0.9540 and 0.803134.
+    Runtime ~25 s.  Measured at seed 6: 0.9540 and 0.803134.
     """
     ens = ts.run_ensemble(
         overcomplete_config(
@@ -135,7 +135,7 @@ def test_criterion_07_complete_vs_overcomplete():
     scheme at the same budget (N = 4e6/729 per setting) stays >= 95%
     physical over 2000 replicas.
 
-    Runtime ~32 s.  Measured at seeds 7/71: m2 ratio 1.0096, sup 0.0170
+    Runtime ~22 s.  Measured at seeds 7/71: m2 ratio 1.0096, sup 0.0170
     vs 0.0835, fractions 1.0000 and 0.9645.
     """
     cfg = ts.ExperimentConfig.complete(
@@ -226,10 +226,8 @@ def test_criterion_09_correlation_variances():
     )
     model = ts.CountModel(ts.MULTINOMIAL, 300)
     reps = 10**4
-    values = np.empty((reps, 16))
-    for rep in range(reps):
-        freqs = ts.replica_frequencies(probs, model, 9, rep)
-        values[rep], _ = ts.correlations_from_frequencies(freqs, 2)
+    freqs = ts.replica_frequencies(probs, model, 9, range(reps))
+    values, _ = ts.correlations_from_frequencies(freqs, 2)
     j_index = np.array([PauliString.from_index(mu, 2).weight_j for mu in range(16)])
     variances = values.var(axis=0, ddof=1)
     full = variances[j_index == 0] * 300.0        # ratio to 1/N

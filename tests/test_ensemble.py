@@ -1,5 +1,6 @@
 """Ensemble runner, persistence round trips and failure modes."""
 
+import functools
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from tomospectra.ensemble import (
     SpectrumEnsemble,
     empirical_moments,
     load_ensemble,
+    replica_estimator,
     run_ensemble,
     save_ensemble,
 )
@@ -129,6 +131,39 @@ def test_run_ensemble_extends_prefix():
     short = run_ensemble(small_config(reps=4))
     long = run_ensemble(small_config(reps=9))
     np.testing.assert_array_equal(short.spectra, long.spectra[:4])
+
+
+SPLIT_REPLICAS = 12
+
+
+@functools.lru_cache(maxsize=None)
+def split_case(n, scheme, mode):
+    """A 12-replica run, its estimator and the estimates one replica at a time."""
+    state = StateSpec(kind="ghz_plus_noise", n=n, q=0.6)
+    if scheme == "complete":
+        config = ExperimentConfig.complete(state, 2e4 * 2**n, replicas=SPLIT_REPLICAS,
+                                           master_seed=n)
+    else:
+        config = ExperimentConfig.overcomplete(state, CountModel(mode, 200),
+                                               replicas=SPLIT_REPLICAS, master_seed=n)
+    estimate = replica_estimator(config)
+    singles = np.concatenate([estimate([r]) for r in range(SPLIT_REPLICAS)])
+    return estimate, singles, run_ensemble(config).spectra
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]),
+       case=st.sampled_from([("overcomplete", MULTINOMIAL), ("overcomplete", POISSON),
+                             ("complete", None)]),
+       cuts=st.sets(st.integers(min_value=1, max_value=SPLIT_REPLICAS - 1)))
+def test_any_split_into_stacks_replays_the_run(n, case, cuts):
+    """Stacked estimates are the one-replica estimates, bit for bit, however split."""
+    estimate, singles, spectra = split_case(n, *case)
+    edges = [0, *sorted(cuts), SPLIT_REPLICAS]
+    # NumPy index arrays work as well as ranges
+    stacked = np.concatenate([estimate(np.arange(a, b)) for a, b in zip(edges, edges[1:])])
+    assert stacked.tobytes() == singles.tobytes()
+    assert np.linalg.eigvalsh(stacked).tobytes() == spectra.tobytes()
 
 
 def test_run_ensemble_progress_callback():
@@ -312,6 +347,25 @@ def test_load_malformed_config(tmp_path):
         load_ensemble(str(out))
     with pytest.raises(MalformedEnsembleError):
         load_ensemble(str(tmp_path / "no_such_dir"))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("replicas",), 3.9),
+    (("count_model", "events_per_setting"), 100.7),
+    (("master_seed",), 1.2),
+], ids=["replicas", "events_per_setting", "master_seed"])
+def test_load_rejects_non_integral_config_numbers(tmp_path, path, value):
+    """A non-integral count or seed is malformed, not truncated to another run."""
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    block = meta["config"]
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(MalformedEnsembleError, match=path[-1].replace("_", "[_ ]")):
+        load_ensemble(str(out))
 
 
 @pytest.mark.parametrize("name", [CONFIG_FILE, CHECKSUM_FILE])

@@ -79,29 +79,39 @@ def test_key_bounds_enforced():
         philox_key(1, 2**32, 0)
     # master seeds only need to fit the 64-bit word (mod reduction documented)
     philox_key(2**64 + 5, 0, 0)
+    # NumPy integer indices give the key of the equal Python ints
+    np.testing.assert_array_equal(
+        philox_key(np.uint64(2**64 - 1), np.int64(2**32 - 1), np.int64(5)),
+        philox_key(2**64 - 1, 2**32 - 1, 5))
+    with pytest.raises(TypeError):
+        philox_key(1, 2.0, 0)
 
 
 def test_count_model_validation():
     CountModel(MULTINOMIAL, 1)
     with pytest.raises(ValueError):
         CountModel(MULTINOMIAL, 0)
+    assert CountModel(MULTINOMIAL, np.int64(7)).events_per_setting == 7
+    for events in (100.7, 100.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            CountModel(MULTINOMIAL, events)
     with pytest.raises(ValueError):
         CountModel("gaussian", 10)
 
 
 def test_multinomial_counts_total_and_reproducibility():
     model = CountModel(MULTINOMIAL, 500)
-    freqs = replica_frequencies(PROBS, model, 1, 0)
+    freqs = replica_frequencies(PROBS, model, 1, [0])[0]
     counts = np.round(freqs * 500)
     np.testing.assert_allclose(freqs * 500, counts, atol=1e-9)
     np.testing.assert_array_equal(counts.sum(axis=1), 500)
-    np.testing.assert_array_equal(freqs, replica_frequencies(PROBS, model, 1, 0))
-    assert not np.array_equal(freqs, replica_frequencies(PROBS, model, 1, 1))
+    np.testing.assert_array_equal(freqs, replica_frequencies(PROBS, model, 1, [0])[0])
+    assert not np.array_equal(freqs, replica_frequencies(PROBS, model, 1, [1])[0])
 
 
 def test_multinomial_sampling_matches_numpy_generator_exactly():
     """Row s is a direct multinomial draw from stream (master, replica, s)."""
-    freqs = replica_frequencies(PROBS, CountModel(MULTINOMIAL, 123), 11, 7)
+    freqs = replica_frequencies(PROBS, CountModel(MULTINOMIAL, 123), 11, [7])[0]
     for s, p in enumerate(PROBS):
         np.testing.assert_array_equal(
             freqs[s], stream(11, 7, s).multinomial(123, p) / 123)
@@ -109,7 +119,7 @@ def test_multinomial_sampling_matches_numpy_generator_exactly():
 
 def test_poisson_sampling_matches_numpy_generator_exactly():
     """Row s is a Poisson draw from stream (master, replica, s), normalized."""
-    freqs = replica_frequencies(PROBS, CountModel(POISSON, 400), 3, 5)
+    freqs = replica_frequencies(PROBS, CountModel(POISSON, 400), 3, [5])[0]
     for s, p in enumerate(PROBS):
         counts = stream(3, 5, s).poisson(400 * p)
         np.testing.assert_array_equal(freqs[s], counts / counts.sum())
@@ -126,7 +136,14 @@ def test_empty_poisson_setting_names_replica_and_setting():
             break
     with pytest.raises(EmptySettingError,
                        match="replica %d, setting %d " % (replica, empty[0])):
-        replica_frequencies(probs, model, 0, replica)
+        replica_frequencies(probs, model, 0, [replica])
+    # a stack draws replica by replica, and its first empty (replica,
+    # setting) in that order is named (here (1, 5), before (2, 4))
+    stack = range(1, 5)
+    first = next((r, s) for r in stack for s in range(9)
+                 if stream(0, r, s).poisson(probs[s]).sum() == 0)
+    with pytest.raises(EmptySettingError, match="replica %d, setting %d " % first):
+        replica_frequencies(probs, model, 0, stack)
 
 
 @hyp_settings(max_examples=30, deadline=None)
