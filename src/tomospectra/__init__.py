@@ -8,7 +8,7 @@ count planning, and a rank-estimation test built on Anderson-Darling
 goodness of fit.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .pauli import (
     PauliString,
@@ -18,8 +18,6 @@ from .pauli import (
     check_density_matrix,
     correlation_tensor_values,
     fidelity,
-    outcome_probabilities,
-    setting_probability_table,
 )
 from .sampling import (
     MULTINOMIAL,
@@ -34,6 +32,7 @@ from .estimation import (
     build_complete_frame,
     correlations_from_frequencies,
     estimate_complete,
+    setting_probability_table,
     spectrum_of,
 )
 from .models import (

@@ -33,6 +33,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -43,13 +44,9 @@ from .estimation import (
     correlations_from_frequencies,
     estimate_complete,
     reconstruct_from_values,
-)
-from .pauli import (
-    StateSpec,
-    build_state,
-    correlation_tensor_values,
     setting_probability_table,
 )
+from .pauli import StateSpec, build_state, correlation_tensor_values
 from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekey, stream
 
 OVERCOMPLETE = "overcomplete"
@@ -131,8 +128,13 @@ class ExperimentConfig:
         else:
             if self.count_model is not None:
                 raise ValueError("count_model applies to the overcomplete scheme only")
-            if self.total_counts is None or not self.total_counts > 0:
+            # a number type is required: "1e5" from config.json is malformed
+            counts = self.total_counts
+            if isinstance(counts, bool) or not isinstance(counts, numbers.Real):
+                raise ValueError("total_counts must be a number, got %r" % (counts,))
+            if not counts > 0:
                 raise ValueError("complete scheme requires positive total_counts")
+            object.__setattr__(self, "total_counts", float(counts))
         # exact int type: a bool or a float read from config.json is rejected
         if type(self.replicas) is not int or self.replicas < 1:
             raise ValueError("replicas must be a positive integer")
@@ -146,7 +148,7 @@ class ExperimentConfig:
 
     @classmethod
     def complete(cls, state, total_counts, replicas, master_seed=0):
-        return cls(state=state, scheme=COMPLETE, total_counts=float(total_counts),
+        return cls(state=state, scheme=COMPLETE, total_counts=total_counts,
                    replicas=replicas, master_seed=master_seed)
 
     def to_json(self):
@@ -176,8 +178,8 @@ class ExperimentConfig:
             count_model = CountModel(mode=cm["mode"],
                                      events_per_setting=cm["events_per_setting"])
         else:
-            total_counts = float(doc["total_counts"])
-        # integer fields are passed on uncast, so 3.9 is rejected, not truncated
+            total_counts = doc["total_counts"]
+        # fields are passed on uncast, so 3.9 replicas or "1e5" counts are rejected
         return cls(state=state, scheme=scheme, count_model=count_model,
                    total_counts=total_counts, replicas=doc["replicas"],
                    master_seed=doc["master_seed"])

@@ -17,7 +17,11 @@ optimal), which cuts the variance to 1/(3**j N).
 
 The signed sums for all subsets at once are a Walsh-Hadamard transform of
 the frequency vector, so the whole correlation tensor costs one
-(3**n, 2**n) x (2**n, 2**n) matrix product plus a scatter-add.
+(3**n, 2**n) x (2**n, 2**n) matrix product plus a scatter-add.  The
+exact outcome probabilities the counts are drawn from go the other way
+through the same index and the same (self-inverse up to 2**n) transform:
+a gather of the exact correlation values and one matrix product
+(`setting_probability_table`).
 Reconstruction applies the single-qubit map from Pauli coefficients to
 matrix entries on each qubit axis (`apply_per_qubit`).
 
@@ -39,7 +43,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import SIGMA, apply_per_qubit, digits, from_digits, kron_all
+from .pauli import (
+    SIGMA,
+    apply_per_qubit,
+    correlation_tensor_values,
+    digits,
+    from_digits,
+    kron_all,
+)
 
 __all__ = [
     "Spectrum",
@@ -106,6 +117,31 @@ def correlations_from_frequencies(freqs, n):
     values = sums.reshape(batch + (4**n,)) / multiplicity
     values[..., 0] = 1.0  # frequencies are normalized, force exactness
     return values, multiplicity
+
+
+def setting_probability_table(rho, n):
+    """(3**n, 2**n) table of the exact outcome probabilities of every setting.
+
+    The forward map of `correlations_from_frequencies`: outcome r of
+    setting s projects onto prod_k (1 + r_k sigma_{s_k}) / 2, so
+    p_r^s = 2**-n sum_S (prod_{k in S} r_k) T_{mu(s, S)}.  That is one
+    gather of the exact correlation values through the cached subset
+    index and one Walsh-Hadamard product.  Roundoff negatives down to
+    -1e-12 are clipped to zero and each row renormalized, so every row
+    is a valid sampling distribution; anything lower, or a row that does
+    not sum to 1 within 1e-10, raises.  Runs build the table once
+    (`replica_estimator`).
+    """
+    mu_index, _ = _subset_maps(n)
+    probs = correlation_tensor_values(rho, n)[mu_index] @ _hadamard_signs(n) / 2**n
+    if probs.min() < -1e-12:
+        raise ValueError("probabilities below tolerance: min %g" % probs.min())
+    probs = np.clip(probs, 0.0, None)
+    totals = probs.sum(axis=1)
+    worst = totals[np.abs(totals - 1.0).argmax()]
+    if abs(worst - 1.0) > 1e-10:
+        raise ValueError("probabilities sum to %r, expected 1" % worst)
+    return probs / totals[:, None]
 
 
 # ---------------------------------------------------------------------------

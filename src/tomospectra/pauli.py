@@ -17,6 +17,9 @@ The fixed conventions used throughout the package are:
   direction 1 (X): (1, 1)/sqrt(2) and (1, -1)/sqrt(2);
   direction 2 (Y): (1, i)/sqrt(2) and (1, -i)/sqrt(2);
   direction 3 (Z): (1, 0) and (0, 1).
+  Outcome r of setting s is thus the projector prod_k (1 + r_k sigma_{s_k})/2;
+  `tomospectra.estimation.setting_probability_table` builds the exact
+  outcome probabilities from the correlation values in that form.
 
 Density matrices are plain complex numpy arrays.  They must be Hermitian
 with unit trace; positivity is deliberately *not* required, because the
@@ -24,6 +27,7 @@ linear estimates this package studies are routinely non-positive.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,16 +51,7 @@ SIGMA = np.array(
 )
 # per qubit, tr(rho sigma_mu) = sum_ij _READ_PAULI[mu, (i, j)] rho[i, j]
 _READ_PAULI = SIGMA.transpose(0, 2, 1).reshape(4, 4)
-
-# Basis-change unitaries per measurement direction: row r is the bra of
-# the eigenvector with sign (-1)^r, so diag(U rho U^dagger) lists outcome
-# probabilities in the fixed outcome order.
 _SQRT2 = 1 / np.sqrt(2.0)
-ROTATIONS = {
-    1: np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
-    2: np.array([[_SQRT2, -1j * _SQRT2], [_SQRT2, 1j * _SQRT2]], dtype=complex),
-    3: np.eye(2, dtype=complex),
-}
 
 
 def _place_values(base, n):
@@ -243,7 +238,14 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise ValueError("unknown state kind %r" % (self.kind,))
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_QUBITS_DENSE:
+        # integer types only: k=1.5 would build a NaN state, seed=3.7 would
+        # replay seed 3 and True would pass for 1
+        for name in ("n", "r", "k", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            object.__setattr__(self, name, int(value))
+        if not 1 <= self.n <= MAX_QUBITS_DENSE:
             raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("signal weight q must lie in [0, 1]")
@@ -337,7 +339,7 @@ def build_state(spec):
 
 
 # ---------------------------------------------------------------------------
-# Expectation values and outcome probabilities
+# Expectation values
 # ---------------------------------------------------------------------------
 
 
@@ -350,51 +352,6 @@ def pauli_expectation(rho, mu):
     if abs(val.imag) > 1e-10:
         raise ValueError("expectation value has a non-negligible imaginary part")
     return float(val.real)
-
-
-def setting_rotation(setting):
-    """Tensor product of the per-qubit basis-change unitaries for a setting."""
-    directions = setting.directions if isinstance(setting, Setting) else tuple(setting)
-    return kron_all([ROTATIONS[d] for d in directions])
-
-
-def outcome_probabilities(rho, setting):
-    """Exact outcome probabilities p_r = tr(rho Pi_r) for one setting.
-
-    The register is rotated into the measurement eigenbasis and the
-    diagonal is read off.  Tiny negative diagonal entries (eigenprojector
-    roundoff) are clamped to zero and the vector renormalized, so the
-    result is always a valid sampling distribution.
-    """
-    setting = setting if isinstance(setting, Setting) else Setting(tuple(setting))
-    if rho.shape[0] != 2**setting.n:
-        raise ValueError("setting length does not match the matrix dimension")
-    u = setting_rotation(setting)
-    probs = np.einsum("ij,jk,ik->i", u, rho, u.conj()).real
-    if probs.min() < -1e-12:
-        raise ValueError("probabilities below tolerance: min %g" % probs.min())
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError("probabilities sum to %r, expected 1" % total)
-    return probs / total
-
-
-def setting_probability_table(rho, n):
-    """(3**n, 2**n) table of exact outcome probabilities for every setting.
-
-    Row s is ``outcome_probabilities`` of setting s, bit for bit.  The
-    multinomial draws depend on the last bit of these numbers when two
-    outcomes tie (GHZ, Dicke, white noise), so a faster route that sums
-    in another order, such as contracting one qubit at a time (about
-    1.2 s -> 20 ms at n=6, within 2e-16), changes the counts drawn
-    for such states.  It could replace this loop only together with new
-    golden digests.  Runs build the table once (`replica_estimator`).
-    """
-    table = np.empty((3**n, 2**n))
-    for s_idx in range(3**n):
-        table[s_idx] = outcome_probabilities(rho, Setting.from_index(s_idx, n))
-    return table
 
 
 def correlation_tensor_values(rho, n=None):

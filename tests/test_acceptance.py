@@ -16,8 +16,9 @@ import pytest
 
 import tomospectra as ts
 from tomospectra.cli import main as cli_main
+from tomospectra.estimation import setting_probability_table
 from tomospectra.gof import sup_cdf_distance
-from tomospectra.pauli import PauliString, build_state, setting_probability_table
+from tomospectra.pauli import PauliString, build_state
 
 
 def overcomplete_config(n, counts, replicas, seed, **state_kw):

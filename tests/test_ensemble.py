@@ -67,6 +67,10 @@ def test_config_scheme_compatibility():
         small_config(seed=-1)
     with pytest.raises(TypeError):
         ExperimentConfig(state="white_noise", scheme="overcomplete", count_model=model)
+    for total in ("1e5", True):
+        with pytest.raises(ValueError, match="total_counts"):
+            ExperimentConfig.complete(state, total, replicas=1)
+    assert ExperimentConfig.complete(state, np.float32(1e4), replicas=1).total_counts == 1e4
 
 
 def test_config_json_round_trip():
@@ -366,6 +370,50 @@ def test_load_rejects_non_integral_config_numbers(tmp_path, path, value):
     (out / CONFIG_FILE).write_text(json.dumps(meta))
     with pytest.raises(MalformedEnsembleError, match=path[-1].replace("_", "[_ ]")):
         load_ensemble(str(out))
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("dicke_plus_noise", "k", 1.5),
+    ("rank_r_plus_noise", "r", 2.0),
+    ("pure_plus_noise", "seed", 3.7),
+    ("pure_plus_noise", "seed", True),
+], ids=["k", "r", "seed", "seed-bool"])
+def test_load_rejects_non_integral_state_numbers(tmp_path, kind, key, value):
+    """k=1.5 would build a NaN state and seed=3.7 would replay seed 3."""
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.overcomplete(
+        StateSpec(kind=kind, n=2, q=0.5, r=2, k=1, seed=3),
+        CountModel(mode=MULTINOMIAL, events_per_setting=100), replicas=2)
+    save_ensemble(run_ensemble(cfg), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    meta["config"]["state"][key] = value
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(MalformedEnsembleError, match="%s must be an integer" % key):
+        load_ensemble(str(out))
+
+
+def complete_run_with_total_counts(tmp_path, value):
+    """A saved complete-scheme run whose config.json records ``value`` as total_counts."""
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.complete(StateSpec(kind="white_noise", n=1), 1e4,
+                                    replicas=2, master_seed=5)
+    save_ensemble(run_ensemble(cfg), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    meta["config"]["total_counts"] = value
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    return str(out)
+
+
+@pytest.mark.parametrize("value", ["1e5", True, None], ids=["string", "bool", "null"])
+def test_load_rejects_non_numeric_total_counts(tmp_path, value):
+    with pytest.raises(MalformedEnsembleError, match="total_counts"):
+        load_ensemble(complete_run_with_total_counts(tmp_path, value))
+
+
+def test_load_accepts_a_json_integer_total_counts(tmp_path):
+    loaded = load_ensemble(complete_run_with_total_counts(tmp_path, 10000))
+    assert loaded.config.total_counts == 1e4
+    assert type(loaded.config.total_counts) is float
 
 
 @pytest.mark.parametrize("name", [CONFIG_FILE, CHECKSUM_FILE])

@@ -11,14 +11,10 @@ from tomospectra.estimation import (
     correlations_from_frequencies,
     estimate_complete,
     reconstruct_from_values,
+    setting_probability_table,
     spectrum_of,
 )
-from tomospectra.pauli import (
-    StateSpec,
-    build_state,
-    correlation_tensor_values,
-    setting_probability_table,
-)
+from tomospectra.pauli import StateSpec, build_state, correlation_tensor_values
 
 
 def base_digits(index, base, n):

@@ -9,7 +9,8 @@ refactor of the replica chain must leave every digest unchanged.
 The digests were taken with NumPy 2.4.6.  They depend on NumPy's
 multinomial and Poisson samplers and on LAPACK's ``eigvalsh``, so a
 different NumPy version may legitimately change them; a change of code
-alone must not.
+alone must not, unless it is a versioned output change: it bumps
+``tomospectra.__version__`` and notes old -> new beside each digest it moves.
 """
 
 import hashlib
@@ -49,13 +50,25 @@ CASES = {
         1,
     ),
     # 12 replicas over two workers make six batches, so this pins the
-    # multi-batch worker path (what each worker is sent and rebuilds)
+    # multi-batch worker path (what each worker is sent and rebuilds).
+    # Re-taken for 0.2.0 (table as the estimator's forward map), whose
+    # tied Dicke probabilities round differently: c063932f... before.
     "ovc4-dicke-workers2": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="dicke_plus_noise", n=4, q=0.7, k=2),
             ts.CountModel(ts.MULTINOMIAL, 150), replicas=12, master_seed=44),
-        "c063932f6a1ec8d262149b72c560b78dc0b872741ab489e8cc5ebbc24fb404ba",
+        "9f4056f860af38ef38774672fa502b15c5b32457862293058f8762e2ad2fc7ea",
         2,
+    ),
+    # GHZ outcome probabilities tie in pairs, and a multinomial draw splits
+    # a tied pair on the last bit of the table: this pins those bits (the
+    # 0.1.0 per-setting loop gave 29cb22ae... here)
+    "ovc3-ghz-multinomial": (
+        lambda: ts.ExperimentConfig.overcomplete(
+            ts.StateSpec(kind="ghz_plus_noise", n=3, q=0.7),
+            ts.CountModel(ts.MULTINOMIAL, 120), replicas=16, master_seed=36),
+        "a2a0f55a95cfe256189c9bd249776aae9f98150a1d902b1335077c102cb5bab1",
+        1,
     ),
     # n=2 is the hot workload; 4001 replicas make batches of 1001, 1001,
     # 1001 and 998, so the run ends on a shorter stack than it starts with

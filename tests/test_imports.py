@@ -1,4 +1,4 @@
-"""Tests and demos use the public API only."""
+"""Import hygiene: the public API, the register helpers, the names the benchmark wraps."""
 
 import ast
 import pathlib
@@ -50,3 +50,22 @@ def test_register_products_live_in_pauli_only():
                  for path in sorted(package.glob("*.py")) if path.name != "pauli.py"}
     assert {name: found for name, found in offenders.items() if found} == {}
     assert numpy_calls(package / "pauli.py", {"kron", "tensordot"})
+
+
+def test_benchmark_tracer_names_exist_on_ensemble():
+    """Every call the benchmark tracer wraps is still looked up on ``ensemble``.
+
+    The tracer skips a name the package no longer has, so a function that
+    moves out of ``tomospectra.ensemble``'s namespace would make its
+    per-layer metric read 0 without failing the benchmark.  The list is
+    read from the source with ``ast``, so nothing under ``benchmarks/`` is
+    imported or written.
+    """
+    import tomospectra.ensemble
+
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
+    [calls] = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "ENSEMBLE_CALLS" for t in node.targets)]
+    assert calls
+    assert [attr for attr, _ in calls if not hasattr(tomospectra.ensemble, attr)] == []

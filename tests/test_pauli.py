@@ -1,13 +1,15 @@
 """States, Pauli strings, settings, and exact outcome probabilities."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from tomospectra.estimation import setting_probability_table
 from tomospectra.pauli import (
     MAX_QUBITS_DENSE,
-    ROTATIONS,
     SIGMA,
     PauliString,
     Setting,
@@ -24,13 +26,32 @@ from tomospectra.pauli import (
     ghz_vector,
     haar_orthonormal_columns,
     kron_all,
-    outcome_probabilities,
     outcome_signs,
     pauli_expectation,
     pauli_matrix,
-    setting_probability_table,
-    setting_rotation,
 )
+
+# Born-rule oracle, independent of the package's table: the +1 and -1
+# eigenvectors of X, Y and Z as rows, in the order the pauli module lists them
+EIGENVECTORS = {
+    1: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    2: np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2.0),
+    3: np.eye(2, dtype=complex),
+}
+
+
+def born_rule_table(rho, n):
+    """p_r^s = <v|rho|v>, v the product eigenvector of outcome r under setting s."""
+    table = np.empty((3**n, 2**n))
+    for s in all_settings(n):
+        # row r of the Kronecker product is outcome r's ket (qubit 0 most significant)
+        kets = functools.reduce(np.kron, [EIGENVECTORS[d] for d in s.directions])
+        table[s.index] = np.einsum("ri,ij,rj->r", kets.conj(), rho, kets).real
+    return table
+
+
+def table_row(rho, directions):
+    return setting_probability_table(rho, len(directions))[Setting(directions).index]
 
 
 def test_pauli_algebra():
@@ -47,16 +68,14 @@ def test_pauli_algebra():
             np.testing.assert_allclose(product, expected, atol=1e-15)
 
 
-def test_rotation_rows_are_eigenbras():
+def test_table_rows_follow_the_eigenvector_convention():
+    """Outcome r of a direction is the eigenvector with sign (-1)^r."""
     for direction in (1, 2, 3):
-        u = ROTATIONS[direction]
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
-        # row r must be the eigenbra with eigenvalue (-1)^r
         for row, sign in ((0, 1.0), (1, -1.0)):
-            bra = u[row]
-            np.testing.assert_allclose(
-                bra @ SIGMA[direction], sign * bra, atol=1e-15
-            )
+            ket = EIGENVECTORS[direction][row]
+            np.testing.assert_allclose(SIGMA[direction] @ ket, sign * ket, atol=1e-15)
+            probs = table_row(np.outer(ket, ket.conj()), (direction,))
+            np.testing.assert_allclose(probs, np.eye(2)[row], atol=1e-15)
 
 
 @pytest.mark.parametrize("base, n", [(2, 1), (2, 5), (3, 4), (4, 3)])
@@ -163,6 +182,19 @@ class TestStateSpec:
         with pytest.raises(ValueError):
             StateSpec(kind="explicit_matrix", n=1)
 
+    def test_integer_fields_must_be_integers(self):
+        for kind, key, value in (("dicke_plus_noise", "k", 1.5),
+                                 ("rank_r_plus_noise", "r", 2.0),
+                                 ("pure_plus_noise", "seed", 3.7),
+                                 ("rank_r_plus_noise", "r", True),
+                                 ("white_noise", "n", True)):
+            with pytest.raises(ValueError, match="%s must be an integer" % key):
+                StateSpec(**{"kind": kind, "n": 2, "q": 0.0, key: value})
+        spec = StateSpec(kind="rank_r_plus_noise", n=np.int64(2), q=0.5,
+                         r=np.int8(2), seed=np.uint64(3))
+        assert spec == StateSpec(kind="rank_r_plus_noise", n=2, q=0.5, r=2, seed=3)
+        assert all(type(v) is int for v in (spec.n, spec.r, spec.k, spec.seed))
+
     def test_json_round_trip(self):
         for spec in (
             StateSpec(kind="white_noise", n=3),
@@ -230,28 +262,21 @@ def test_pauli_expectations_of_ghz():
 
 def test_outcome_probabilities_z_basis_reads_diagonal():
     rho = np.diag([0.5, 0.3, 0.15, 0.05]).astype(complex)
-    probs = outcome_probabilities(rho, Setting((3, 3)))
+    probs = table_row(rho, (3, 3))
     np.testing.assert_allclose(probs, [0.5, 0.3, 0.15, 0.05], atol=1e-12)
 
 
 def test_outcome_probabilities_plus_state():
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    np.testing.assert_allclose(
-        outcome_probabilities(plus, Setting((1,))), [1.0, 0.0], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        outcome_probabilities(plus, Setting((3,))), [0.5, 0.5], atol=1e-12
-    )
+    np.testing.assert_allclose(table_row(plus, (1,)), [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(table_row(plus, (3,)), [0.5, 0.5], atol=1e-12)
 
 
 def test_outcome_probabilities_hygiene():
-    z = Setting((3,))
-    with pytest.raises(ValueError):
-        outcome_probabilities(np.diag([0.5, 0.6]).astype(complex), z)  # sums to 1.1
-    with pytest.raises(ValueError):
-        outcome_probabilities(np.diag([1.5, -0.5]).astype(complex), z)
-    # tiny negatives from floating-point cancellation are clipped
-    probs = outcome_probabilities(np.diag([1.0 + 1e-13, -1e-13]).astype(complex), z)
+    with pytest.raises(ValueError, match="sum"):
+        setting_probability_table(np.diag([0.5, 0.6]).astype(complex), 1)  # trace 1.1
+    # a tiny negative in a two-qubit row is clipped and the row renormalized
+    probs = table_row(np.diag([1.0 + 1e-13, -1e-13, 0.0, 0.0]).astype(complex), (3, 3))
     assert probs[1] == 0.0
     assert probs.sum() == 1.0
 
@@ -267,11 +292,10 @@ def test_setting_probability_table_shape_and_normalization():
 def test_probability_table_matches_born_rule_row_by_row():
     rho = build_state(StateSpec(kind="pure_plus_noise", n=2, q=0.85, seed=11))
     table = setting_probability_table(rho, 2)
+    expected = born_rule_table(rho, 2)
     signs = outcome_signs(2)
     for s in all_settings(2):
-        u = setting_rotation(s)
-        expected = np.real(np.einsum("ij,jk,ik->i", u, rho, u.conj()))
-        np.testing.assert_allclose(table[s.index], expected, atol=1e-12)
+        np.testing.assert_allclose(table[s.index], expected[s.index], atol=1e-12)
         # and the correlation read off the probabilities matches tr(rho sigma)
         t_full = (table[s.index] * signs.prod(axis=1)).sum()
         assert t_full == pytest.approx(
@@ -292,22 +316,26 @@ def state_specs(draw):
 
 @hyp_settings(max_examples=40, deadline=None)
 @given(spec=state_specs())
-def test_probability_table_is_the_per_setting_loop_bit_for_bit(spec):
-    """Row s is exactly outcome_probabilities of setting s.
-
-    Closeness is not enough: the multinomial draw splits off one outcome
-    at a time with a binomial of p_k / (1 - p_0 - ... - p_{k-1}) and
-    draws the complement when that ratio exceeds 0.5.  When the last two
-    outcomes tie the ratio sits at 0.5, so a 1e-17 shift decides which
-    of the pair gets the larger count.  A table computed
-    in a different order (e.g. contracted one qubit at a time) swapped
-    counts in 151 of the 972 draws of an n=4 Dicke run.
-    """
+def test_probability_table_is_the_born_rule(spec):
     rho = build_state(spec)
     table = setting_probability_table(rho, spec.n)
-    for s in range(3**spec.n):
-        expected = outcome_probabilities(rho, Setting.from_index(s, spec.n))
-        assert table[s].tobytes() == expected.tobytes()
+    np.testing.assert_allclose(table, born_rule_table(rho, spec.n), rtol=0, atol=1e-14)
+
+
+def test_probability_table_n6_rank3_is_the_born_rule():
+    rho = build_state(StateSpec(kind="rank_r_plus_noise", n=6, q=0.8, r=3, seed=80))
+    table = setting_probability_table(rho, 6)
+    np.testing.assert_allclose(table, born_rule_table(rho, 6), rtol=0, atol=1e-14)
+
+
+def test_probability_table_n2_white_noise_is_exactly_uniform():
+    """Bit for bit the 0.1.0 table, so n=2 white-noise runs draw the same counts.
+
+    Each multinomial draw splits tied outcomes on the last bit of the
+    table; the per-setting loop of 0.1.0 gave exactly 1/4 everywhere.
+    """
+    table = setting_probability_table(np.eye(4, dtype=complex) / 4, 2)
+    assert table.tobytes() == np.full((9, 4), 0.25).tobytes()
 
 
 def test_probability_table_hygiene():
@@ -370,7 +398,7 @@ def test_single_qubit_probabilities_born_consistency(direction, a, b, c):
     if norm > 1:
         a, b, c = a / norm, b / norm, c / norm
     rho = 0.5 * (SIGMA[0] + a * SIGMA[1] + b * SIGMA[2] + c * SIGMA[3])
-    probs = outcome_probabilities(rho, Setting((direction,)))
+    probs = table_row(rho, (direction,))
     assert probs.min() >= 0
     assert probs.sum() == pytest.approx(1.0, abs=1e-10)
     t = probs[0] - probs[1]
