@@ -35,7 +35,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -416,6 +415,8 @@ def run_ensemble(config, workers=None, progress=None):
                 if progress is not None:
                     progress(completed, total)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_block_rows, estimate, a, b, stack)
                            for a, b in edges]
@@ -436,9 +437,9 @@ def run_ensemble(config, workers=None, progress=None):
 def _format_csv(ensemble):
     dim = ensemble.spectra.shape[1]
     header = "replica," + ",".join("l_%d" % (k + 1) for k in range(dim))
-    lines = [header]
-    for i, row in enumerate(ensemble.spectra):
-        lines.append("%d," % i + ",".join("%.17g" % x for x in row))
+    row_format = "%d" + ",%.17g" * dim
+    lines = [header] + [row_format % (i, *row)
+                        for i, row in enumerate(ensemble.spectra.tolist())]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

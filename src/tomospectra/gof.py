@@ -11,7 +11,9 @@ tries to park noise mass below zero and is rejected outright.
 
 P-values use the asymptotic null distribution of the A^2 statistic for a
 fully specified model (the semicircle parameters are fixed before
-testing, not fitted to the tested sample's shape).
+testing, not fitted to the tested sample's shape).  Each series term
+is one `scipy.integrate.quad`; SciPy is imported on the first term, not
+with the package, so runs that never rank-test do not load it.
 """
 
 import math
@@ -19,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .estimation import Spectrum
 from .models import SemicircleModel, semicircle_radius
@@ -65,6 +66,8 @@ class EmpiricalSpectrumSample:
 
 def _a2_series_term(j, z):
     """Magnitude of the j-th term of the classical series for P(A^2 <= z)."""
+    from scipy import integrate
+
     coeff = math.exp(math.lgamma(j + 0.5) - math.lgamma(j + 1)) / math.sqrt(math.pi)
     b = (4 * j + 1) ** 2 * math.pi**2 / (8.0 * z)
     if b > 700.0:  # exp underflow; the term is zero to double precision

@@ -17,13 +17,16 @@ The complete projector scheme instead produces a two-sided exponential
 both are provided here, together with the even-moment Catalan identities
 and the probability that a semicircle-distributed spectrum is entirely
 nonnegative.
+
+Only the one-qubit law needs SciPy, so `single_qubit_density` and
+`SingleQubitModel.cdf` import it on first call, and `import tomospectra`
+does not pay for SciPy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 MAX_QUBITS_ANALYTIC = 10
 
@@ -266,6 +269,8 @@ class SingleQubitModel:
 
     def cdf(self, x):
         # integral of the pdf; erfc form, exact for the quadrature C
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         a = 0.5 * self.counts
         u = 1.0 - 2.0 * x
@@ -278,6 +283,8 @@ class SingleQubitModel:
 
 def single_qubit_density(counts):
     """Build the exact single-qubit eigenvalue model for N events per setting."""
+    from scipy import integrate
+
     counts = int(counts)
     if counts < 1:
         raise ValueError("counts must be >= 1")

@@ -247,6 +247,10 @@ class StateSpec:
             object.__setattr__(self, name, int(value))
         if not 1 <= self.n <= MAX_QUBITS_DENSE:
             raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
+        # a real number type: True would pass for 1, "0.5" from config.json is malformed
+        if isinstance(self.q, bool) or not isinstance(self.q, numbers.Real):
+            raise ValueError("signal weight q must be a number, got %r" % (self.q,))
+        object.__setattr__(self, "q", float(self.q))
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("signal weight q must lie in [0, 1]")
         if self.kind == "white_noise" and self.q != 0.0:

@@ -392,6 +392,21 @@ def test_load_rejects_non_integral_state_numbers(tmp_path, kind, key, value):
         load_ensemble(str(out))
 
 
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+def test_load_rejects_non_numeric_signal_weight(tmp_path, value):
+    """``"q": true`` is not a signal weight of 1; ``"q": "0.5"`` is not a number."""
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.overcomplete(
+        StateSpec(kind="ghz_plus_noise", n=2, q=0.5),
+        CountModel(mode=MULTINOMIAL, events_per_setting=100), replicas=2)
+    save_ensemble(run_ensemble(cfg), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    meta["config"]["state"]["q"] = value
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(MalformedEnsembleError, match="q must be a number"):
+        load_ensemble(str(out))
+
+
 def complete_run_with_total_counts(tmp_path, value):
     """A saved complete-scheme run whose config.json records ``value`` as total_counts."""
     out = tmp_path / "run"

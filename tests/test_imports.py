@@ -1,7 +1,13 @@
-"""Import hygiene: the public API, the register helpers, the names the benchmark wraps."""
+"""Import hygiene: the public API, the register helpers, the names the benchmark wraps,
+and what a fresh import loads.
+"""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -69,3 +75,59 @@ def test_benchmark_tracer_names_exist_on_ensemble():
                and any(getattr(t, "id", None) == "ENSEMBLE_CALLS" for t in node.targets)]
     assert calls
     assert [attr for attr, _ in calls if not hasattr(tomospectra.ensemble, attr)] == []
+
+
+COLD_START = r"""
+import json, sys, tempfile
+
+HEAVY = ("scipy", "concurrent.futures", "multiprocessing")
+
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
+import tomospectra as ts
+import tomospectra.cli
+after_import = heavy_modules()
+
+config = ts.ExperimentConfig.overcomplete(
+    ts.StateSpec(kind="ghz_plus_noise", n=3, q=0.6),
+    ts.CountModel(ts.MULTINOMIAL, 200), replicas=3, master_seed=11)
+with tempfile.TemporaryDirectory() as tmp:
+    loaded = ts.load_ensemble(ts.save_ensemble(ts.run_ensemble(config, workers=1), tmp))
+    loaded.summary()
+after_run = heavy_modules()
+
+laplace = ts.laplace_model(3, 1e5)
+print(json.dumps({
+    "after_import": after_import,
+    "after_run": after_run,
+    "row": loaded.spectra[0].tolist(),
+    "rank_report": ts.estimate_rank(loaded.spectra[0], 3, 200).to_json(),
+    "single_qubit_cdf": ts.single_qubit_density(100).cdf(0.5),
+    "laplace": [laplace.center, laplace.alpha],
+}))
+"""
+
+
+def test_import_loads_no_scipy():
+    """A fresh ``import tomospectra`` and a one-worker run leave SciPy unloaded.
+
+    Importing SciPy is most of a fresh process's start-up, and only the
+    rank test and the one-qubit law need it, so they import it on first use.
+    The pytest process has SciPy loaded already, hence the subprocess.
+    """
+    from tomospectra import estimate_rank, laplace_model, single_qubit_density
+
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True, timeout=120)
+    cold = json.loads(out.stdout.splitlines()[-1])
+    assert cold["after_import"] == []
+    assert cold["after_run"] == []
+    # the lazy imports resolve and give the in-process values
+    assert cold["rank_report"] == estimate_rank(cold["row"], 3, 200).to_json()
+    assert cold["single_qubit_cdf"] == single_qubit_density(100).cdf(0.5)
+    laplace = laplace_model(3, 1e5)
+    assert cold["laplace"] == [laplace.center, laplace.alpha]

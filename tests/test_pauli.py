@@ -195,6 +195,15 @@ class TestStateSpec:
         assert spec == StateSpec(kind="rank_r_plus_noise", n=2, q=0.5, r=2, seed=3)
         assert all(type(v) is int for v in (spec.n, spec.r, spec.k, spec.seed))
 
+    def test_signal_weight_must_be_a_real_number(self):
+        for value in (True, False, "0.5", None, 0.5j):
+            with pytest.raises(ValueError, match="q must be a number"):
+                StateSpec(kind="ghz_plus_noise", n=2, q=value)
+        for value in (1, np.float32(0.5), np.int64(0)):
+            spec = StateSpec(kind="ghz_plus_noise", n=2, q=value)
+            assert type(spec.q) is float and spec.q == float(value)
+        assert StateSpec(kind="ghz_plus_noise", n=2, q=1).to_json()["q"] == 1.0
+
     def test_json_round_trip(self):
         for spec in (
             StateSpec(kind="white_noise", n=3),
