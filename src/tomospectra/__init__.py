@@ -8,7 +8,7 @@ count planning, and a rank-estimation test built on Anderson-Darling
 goodness of fit.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .pauli import (
     PauliString,
@@ -50,7 +50,6 @@ from .models import (
     single_qubit_density,
 )
 from .gof import (
-    EmpiricalSpectrumSample,
     NoAcceptedRankError,
     RankCandidate,
     RankTestReport,

@@ -2,14 +2,15 @@
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from tomospectra.gof import (
-    EmpiricalSpectrumSample,
     NoAcceptedRankError,
     RankTestReport,
     a2_null_cdf,
@@ -43,6 +44,31 @@ CDF_POINTS = {
 }
 
 
+def reference_series_term(j, z):
+    """Magnitude of the j-th term of the classical series, one ``quad`` each."""
+    coeff = math.exp(math.lgamma(j + 0.5) - math.lgamma(j + 1)) / math.sqrt(math.pi)
+    b = (4 * j + 1) ** 2 * math.pi**2 / (8.0 * z)
+    if b > 700.0:  # exp underflow; the term is zero to double precision
+        return 0.0
+
+    def integrand(w):
+        return math.exp(z / (8.0 * (1.0 + w * w)) - b * w * w)
+
+    integral, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-10)
+    return coeff * (4 * j + 1) * math.exp(-b) * integral
+
+
+def reference_null_cdf(z):
+    """P(A^2 <= z) from the series summed until its terms vanish (z >= 0.05)."""
+    total = 0.0
+    for j in range(200):
+        term = reference_series_term(j, z)
+        total += term if j % 2 == 0 else -term
+        if term < 1e-16 * max(abs(total), 1e-300) and j >= 2:
+            break
+    return min(1.0, max(0.0, math.sqrt(2.0 * math.pi) / z * total))
+
+
 def semicircle_draws(rng, model, size):
     """Exact semicircle sampling: affine image of a Beta(3/2, 3/2)."""
     return model.center + model.radius * (2.0 * rng.beta(1.5, 1.5, size) - 1.0)
@@ -70,6 +96,28 @@ def test_null_cdf_boundaries_and_monotonicity():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= 1.0
     assert a2_null_sf(2.0) == pytest.approx(1.0 - a2_null_cdf(2.0), abs=1e-15)
+
+
+def test_null_cdf_matches_quadrature_series():
+    """The shared-node trapezoid sum agrees with one ``quad`` per term."""
+    grid = np.linspace(0.05, 29.0, 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        reference = np.array([reference_null_cdf(z) for z in grid])
+    new = np.array([a2_null_cdf(z) for z in grid])
+    assert np.abs(new - reference).max() <= 1e-10
+
+
+def test_null_cdf_is_monotone_and_reaches_one():
+    """No step down beyond rounding, and exactly 1 from the upper cutoff on.
+
+    The cutoff, z = 35, is where 1 - P first falls below 2**-53 (see
+    ``gof``); past it the alternating series cancels catastrophically.
+    """
+    grid = np.union1d(np.linspace(0.05, 1000.0, 20000), [34.999, 35.0])
+    vals = np.array([a2_null_cdf(z) for z in grid])
+    assert np.diff(vals).min() >= -1e-14
+    assert np.all(vals[grid >= 35.0] == 1.0)
 
 
 def test_statistic_distribution_matches_critical_values():
@@ -111,6 +159,10 @@ def test_anderson_darling_small_sample_by_hand():
     assert 0.0 <= p <= 1.0
     # this symmetric, well-spread sample should not be rejected
     assert p > 0.5
+    # the sample is sorted internally, and too small a sample is refused
+    assert anderson_darling(sample[::-1], lambda x: x) == (stat, p)
+    with pytest.raises(ValueError):
+        anderson_darling([0.1, 0.2, 0.3], lambda x: x)
 
 
 def test_anderson_darling_detects_mismatch():
@@ -125,18 +177,6 @@ def test_anderson_darling_detects_mismatch():
     # a true-model draw can land anywhere in (0, 1); the point is contrast
     assert p_good > 0.01
     assert p_bad < 1e-6
-
-
-def test_anderson_darling_accepts_sample_objects_and_sorts():
-    sample = EmpiricalSpectrumSample(eigenvalues=[0.9, 0.1, 0.5, 0.3, 0.7])
-    assert sample.eigenvalues.tolist() == [0.1, 0.3, 0.5, 0.7, 0.9]
-    stat_obj, _ = anderson_darling(sample, lambda x: x)
-    stat_arr, _ = anderson_darling([0.1, 0.3, 0.5, 0.7, 0.9], lambda x: x)
-    assert stat_obj == stat_arr
-    with pytest.raises(ValueError):
-        EmpiricalSpectrumSample(eigenvalues=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        anderson_darling([0.1, 0.2, 0.3], lambda x: x)
 
 
 def test_boundary_clamp_keeps_results_finite():

@@ -96,14 +96,17 @@ config = ts.ExperimentConfig.overcomplete(
 with tempfile.TemporaryDirectory() as tmp:
     loaded = ts.load_ensemble(ts.save_ensemble(ts.run_ensemble(config, workers=1), tmp))
     loaded.summary()
-after_run = heavy_modules()
+rank_report = ts.estimate_rank(loaded.spectra[0], 3, 200).to_json()
+a2_cdf = ts.a2_null_cdf(2.0)
+after_rank_test = heavy_modules()
 
 laplace = ts.laplace_model(3, 1e5)
 print(json.dumps({
     "after_import": after_import,
-    "after_run": after_run,
+    "after_rank_test": after_rank_test,
     "row": loaded.spectra[0].tolist(),
-    "rank_report": ts.estimate_rank(loaded.spectra[0], 3, 200).to_json(),
+    "rank_report": rank_report,
+    "a2_cdf": a2_cdf,
     "single_qubit_cdf": ts.single_qubit_density(100).cdf(0.5),
     "laplace": [laplace.center, laplace.alpha],
 }))
@@ -111,13 +114,15 @@ print(json.dumps({
 
 
 def test_import_loads_no_scipy():
-    """A fresh ``import tomospectra`` and a one-worker run leave SciPy unloaded.
+    """A fresh import, a one-worker run and a rank test leave SciPy unloaded.
 
     Importing SciPy is most of a fresh process's start-up, and only the
-    rank test and the one-qubit law need it, so they import it on first use.
-    The pytest process has SciPy loaded already, hence the subprocess.
+    one-qubit law needs it, so it imports SciPy on first use; that call
+    comes last, to check that the lazy import resolves.  The pytest
+    process has SciPy loaded already, hence the subprocess.
     """
-    from tomospectra import estimate_rank, laplace_model, single_qubit_density
+    from tomospectra import (a2_null_cdf, estimate_rank, laplace_model,
+                             single_qubit_density)
 
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -125,9 +130,10 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True, check=True, timeout=120)
     cold = json.loads(out.stdout.splitlines()[-1])
     assert cold["after_import"] == []
-    assert cold["after_run"] == []
-    # the lazy imports resolve and give the in-process values
+    assert cold["after_rank_test"] == []
+    # the cold process gives the in-process values, and the lazy import resolves
     assert cold["rank_report"] == estimate_rank(cold["row"], 3, 200).to_json()
+    assert cold["a2_cdf"] == a2_null_cdf(2.0)
     assert cold["single_qubit_cdf"] == single_qubit_density(100).cdf(0.5)
     laplace = laplace_model(3, 1e5)
     assert cold["laplace"] == [laplace.center, laplace.alpha]
