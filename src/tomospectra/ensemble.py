@@ -46,7 +46,7 @@ from .estimation import (
     setting_probability_table,
 )
 from .pauli import StateSpec, build_state, correlation_tensor_values
-from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekey, stream
+from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekeyed, stream
 
 OVERCOMPLETE = "overcomplete"
 COMPLETE = "complete"
@@ -273,28 +273,24 @@ def empirical_moments(ensemble, k_max=6):
 _STACK_ENTRIES = 2**16
 
 
-def _draw_stack(master_seed, replicas, rates, draw):
+def _draw_stack(master_seed, replicas, rates, method, *args):
     """Counts of a stack of replicas, shape (len(replicas),) + rates.shape.
 
-    Row s of replica r is ``draw(rng, rates[s])`` with ``rng`` at the
-    start of the stream ``stream(master_seed, r, s)``.  One generator
-    serves the whole stack: built for the first (replica, row) stream and
-    `rekey`-ed to each later one, which draws the same counts as a fresh
-    generator per stream (at n=6 a stack is one replica, where a
-    redundant first rekey would show in the complete scheme's cost).
-    The counts are stored as floats, exact below 2**53, so callers
-    normalize the stack in place and no integer copy of it is held.
+    Row s of replica r is ``rng.<method>(*args, rates[s])`` with ``rng``
+    at the start of the stream ``stream(master_seed, r, s)``.  One
+    generator serves the whole stack: `stream` builds it once, the draw
+    method is bound to it once, and `rekeyed` moves it to each (replica,
+    row) stream in turn, which draws the same counts as a fresh generator
+    per stream.  The counts are stored as floats, exact below 2**53, so
+    callers normalize the stack in place and no integer copy of it is held.
     """
+    rows = list(rates)
     counts = np.empty((len(replicas),) + rates.shape)
-    rng = None
-    for i, replica in enumerate(replicas):
-        # indexed, not iterated: an ndarray iterator ends on a raised IndexError
-        for s in range(len(rates)):
-            if rng is None:
-                rng = stream(master_seed, replica, s)
-            else:
-                rekey(rng, master_seed, replica, s)
-            counts[i, s] = draw(rng, rates[s])
+    rng = stream(master_seed)
+    draw = functools.partial(getattr(rng, method), *args)
+    for out, replica in zip(counts, replicas):
+        for s in rekeyed(rng, master_seed, replica, len(rows)):
+            out[s] = draw(rows[s])
     return counts
 
 
@@ -311,12 +307,10 @@ def replica_frequencies(probs, model, master_seed, replicas):
     """
     budget = model.events_per_setting
     if model.mode == MULTINOMIAL:
-        freqs = _draw_stack(master_seed, replicas, probs,
-                            lambda rng, p: rng.multinomial(budget, p))
+        freqs = _draw_stack(master_seed, replicas, probs, "multinomial", budget)
         freqs /= budget  # a multinomial row always totals the budget
         return freqs
-    freqs = _draw_stack(master_seed, replicas, budget * probs,
-                        lambda rng, lam: rng.poisson(lam))
+    freqs = _draw_stack(master_seed, replicas, budget * probs, "poisson")
     totals = freqs.sum(axis=-1, keepdims=True)
     empty = np.argwhere(totals[..., 0] == 0)
     if len(empty):
@@ -334,8 +328,7 @@ def _overcomplete_estimate(probs, model, master_seed, n, replicas):
 
 
 def _complete_estimate(frame, intensity, n_flux, master_seed, replicas):
-    counts = _draw_stack(master_seed, replicas, intensity[None],
-                         lambda rng, lam: rng.poisson(lam))
+    counts = _draw_stack(master_seed, replicas, intensity[None], "poisson")
     return estimate_complete(frame, counts[:, 0], n_flux)
 
 

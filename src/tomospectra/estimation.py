@@ -276,14 +276,11 @@ def build_complete_frame(n):
     """Build (and cache) the projector frame for n qubits."""
     if not 1 <= n <= 6:
         raise ValueError("the dense projector frame is limited to 1..6 qubits")
-    block = np.empty((4, 4))
-    for v in range(4):
-        proj = np.outer(_FRAME_KETS[v], _FRAME_KETS[v].conj())
-        for mu in range(4):
-            val = np.trace(SIGMA[mu] @ proj) / 2.0
-            if abs(val.imag) > 1e-14:
-                raise AssertionError("transfer matrix must be real")
-            block[v, mu] = val.real
+    # tr(sigma_mu |v><v|) = <v| sigma_mu |v>
+    values = np.einsum("vi,mij,vj->vm", _FRAME_KETS.conj(), SIGMA, _FRAME_KETS) / 2.0
+    if np.abs(values.imag).max() > 1e-14:
+        raise AssertionError("transfer matrix must be real")
+    block = values.real.copy()
     block_inv = np.linalg.inv(block)
     if np.abs(block @ block_inv - np.eye(4)).max() > 1e-8:
         raise AssertionError("singular single-qubit transfer block")

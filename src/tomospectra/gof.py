@@ -98,6 +98,8 @@ def a2_null_cdf(z):
     0.05 and exactly 1 from 35 on.
     """
     z = float(z)
+    if math.isnan(z):
+        raise ValueError("the A^2 statistic is NaN")
     if z < 0.05:
         return 0.0
     if z >= _A2_ONE:
@@ -134,12 +136,15 @@ def anderson_darling(sample, model_cdf):
         asymptotic null.  Probability transforms that hit 0 or 1 exactly
         (data on or outside the support edge) are clamped to 1e-15 away
         from the boundary and a RuntimeWarning is emitted; run a support
-        check first if that matters (the rank test does).
+        check first if that matters (the rank test does).  A non-finite
+        sample point, or a NaN probability transform, raises ValueError.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     nbar = x.size
     if nbar < 5:
         raise ValueError("need at least 5 sample points")
+    if not np.isfinite(x).all():
+        raise ValueError("the sample must be finite")
     u = np.asarray(model_cdf(x), dtype=float)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         warnings.warn(
@@ -268,9 +273,12 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
         model = SemicircleModel(center=center, radius=radius)
         lo, hi = model.support
         in_support = bool(noise[0] >= lo and noise[-1] <= hi)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            statistic, p_value = anderson_darling(noise, model.cdf)
+        if np.isfinite(noise).all():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                statistic, p_value = anderson_darling(noise, model.cdf)
+        else:  # a NaN or inf sorts to an end of the band and fails the support check
+            statistic = p_value = math.nan
         p_eff = p_value if in_support else 0.0
         width = 2.0 * radius
         signal_count = int(np.count_nonzero(eigs > lam_min + width))

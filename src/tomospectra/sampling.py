@@ -20,9 +20,9 @@ The stream is a pure function of the triple, so replicas and settings can
 be sampled in any order, split across any number of workers, and always
 reproduce the same counts bit for bit.  Replica and setting indices must
 stay below 2**32 each, which keeps the key injective.  `stream` builds
-the generator of one triple; `rekey` moves an existing generator to the
-start of another triple's stream, which costs a fraction of building a
-new one and yields the same state bit for bit.
+the generator of one triple; `rekeyed` walks an existing generator
+through one replica's setting streams, which costs a fraction of
+building new generators and yields the same states bit for bit.
 """
 
 import numbers
@@ -90,23 +90,24 @@ def stream(master_seed, replica_index=0, setting_index=0):
 _ZEROS4 = (0, 0, 0, 0)
 
 
-def rekey(rng, master_seed, replica_index, setting_index):
-    """Reset a `stream` generator to the start of another triple's stream.
+def rekeyed(rng, master_seed, replica_index, settings):
+    """Walk a `stream` generator through one replica's setting streams.
 
-    Afterwards ``rng.bit_generator.state`` equals
-    ``stream(master_seed, replica_index, setting_index).bit_generator.state``
+    Yields s = 0, 1, ..., settings - 1, each once ``rng.bit_generator.state``
+    equals ``stream(master_seed, replica_index, s).bit_generator.state``,
     whatever ``rng`` drew before, so its draws are the ones that fresh
-    generator would make.
+    generator would make.  The indices are checked once, before the first
+    state is set, and each step only swaps the key of one reused state.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4,
-                  "key": _key_words(master_seed, replica_index, setting_index)},
-        "buffer": _ZEROS4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    master, last = _key_words(master_seed, replica_index, settings - 1)
+    keyed = {"counter": _ZEROS4, "key": None}
+    state = {"bit_generator": "Philox", "state": keyed, "buffer": _ZEROS4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bit_generator = rng.bit_generator
+    for s, word in enumerate(range(last - settings + 1, last + 1)):
+        keyed["key"] = (master, word)
+        bit_generator.state = state
+        yield s
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,73 @@ def test_run_ensemble_builds_the_probability_table_once(monkeypatch):
     assert par.spectra.tobytes() == seq.spectra.tobytes()
 
 
+def count_streams_and_draws(monkeypatch):
+    """Record every `stream` call of the ensemble module and every count draw."""
+    import tomospectra.ensemble as ensemble_module
+
+    streams, draws = [], []
+    make = ensemble_module.stream
+
+    class Counted:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def multinomial(self, *args):
+            draws.append(args)
+            return self._rng.multinomial(*args)
+
+        def poisson(self, *args):
+            draws.append(args)
+            return self._rng.poisson(*args)
+
+    def counted(*args):
+        streams.append(args)
+        return Counted(make(*args))
+
+    monkeypatch.setattr(ensemble_module, "stream", counted)
+    return streams, draws
+
+
+@pytest.mark.parametrize("config, draws_per_replica", [
+    (ExperimentConfig.overcomplete(StateSpec(kind="white_noise", n=2),
+                                   CountModel(MULTINOMIAL, 100), replicas=3000,
+                                   master_seed=52), 9),
+    (ExperimentConfig.complete(StateSpec(kind="white_noise", n=6), 4e6, replicas=2,
+                               master_seed=7), 1),
+])
+def test_one_stream_per_stack_and_one_draw_per_setting(monkeypatch, config, draws_per_replica):
+    """A stack builds one generator; each (replica, setting) is one draw call."""
+    import tomospectra.ensemble as ensemble_module
+
+    plain = run_ensemble(config, workers=1)
+    stacks = []
+    block_rows = ensemble_module._block_rows
+
+    def recorded(estimate, start, stop, stack):
+        stacks.append(math.ceil((stop - start) / stack))
+        return block_rows(estimate, start, stop, stack)
+
+    monkeypatch.setattr(ensemble_module, "_block_rows", recorded)
+    streams, draws = count_streams_and_draws(monkeypatch)
+    counted = run_ensemble(config, workers=1)
+    assert len(streams) == sum(stacks)
+    assert len(draws) == config.replicas * draws_per_replica
+    assert counted.spectra.tobytes() == plain.spectra.tobytes()
+
+
+@pytest.mark.parametrize("replica", [-1, 2**32])
+def test_an_out_of_range_replica_draws_nothing(monkeypatch, replica):
+    from tomospectra.ensemble import replica_frequencies
+
+    _, draws = count_streams_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match="replica index"):
+        replica_frequencies(np.full((9, 4), 0.25), CountModel(MULTINOMIAL, 10), 3, [replica])
+    assert draws == []
+
+
 def test_run_ensemble_extends_prefix():
     """Replica i's spectrum is independent of how many replicas follow."""
     short = run_ensemble(small_config(reps=4))

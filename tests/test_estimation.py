@@ -14,7 +14,7 @@ from tomospectra.estimation import (
     setting_probability_table,
     spectrum_of,
 )
-from tomospectra.pauli import StateSpec, build_state, correlation_tensor_values
+from tomospectra.pauli import SIGMA, StateSpec, build_state, correlation_tensor_values
 
 
 def base_digits(index, base, n):
@@ -124,6 +124,20 @@ def test_complete_frame_single_qubit_block():
     np.testing.assert_allclose(
         frame.block @ frame.block_inv, np.eye(4), atol=1e-12
     )
+
+
+def test_complete_frame_block_is_the_trace_loop_bit_for_bit():
+    """The contracted block is B1[v, mu] = tr(sigma_mu |v><v|) / 2, loop by loop."""
+    frame = build_complete_frame(3)
+    block = np.empty((4, 4))
+    for v in range(4):
+        proj = np.outer(frame.kets[v], frame.kets[v].conj())
+        for mu in range(4):
+            val = np.trace(SIGMA[mu] @ proj) / 2.0
+            assert abs(val.imag) <= 1e-14
+            block[v, mu] = val.real
+    assert frame.block.tobytes() == block.tobytes()
+    assert frame.block_inv.tobytes() == np.linalg.inv(block).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -188,6 +188,19 @@ def test_boundary_clamp_keeps_results_finite():
     assert 0.0 <= p <= 1.0
 
 
+def test_non_finite_sample_or_statistic_raises():
+    """A NaN is no evidence of fit: no P-value is reported for it."""
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            anderson_darling([0.1, 0.2, bad, 0.5, 0.7], lambda x: x)
+    with pytest.raises(ValueError, match="NaN"):
+        anderson_darling([0.1, 0.2, 0.3, 0.5, 0.7], lambda x: np.full_like(x, math.nan))
+    for tail in (a2_null_cdf, a2_null_sf):
+        with pytest.raises(ValueError, match="NaN"):
+            tail(math.nan)
+    assert a2_null_cdf(math.inf) == 1.0
+
+
 @hyp_settings(max_examples=20, deadline=None)
 @given(
     scale=st.floats(min_value=0.01, max_value=100.0),
@@ -256,6 +269,22 @@ def test_estimate_rank_rejects_negative_centers():
     assert report.chosen_rank is None
     for cand in report.candidates:
         assert cand.center < 0.0
+
+
+def test_estimate_rank_treats_a_nan_eigenvalue_as_out_of_band():
+    """A NaN sorts last: the bands holding it fail, the others are untouched."""
+    eigs = noise_spectrum(np.random.default_rng(3), 3, 1000)
+    with_nan, with_outlier = eigs.copy(), eigs.copy()
+    with_nan[-1], with_outlier[-1] = math.nan, 0.9
+    report = estimate_rank(with_nan, 3, 1000)
+    reference = estimate_rank(with_outlier, 3, 1000)
+    c0 = report.candidate(0)
+    assert not c0.in_support and c0.p_eff == 0.0
+    assert math.isnan(c0.statistic) and math.isnan(c0.p_value)
+    assert report.chosen_rank == reference.chosen_rank == 1
+    for ours, theirs in zip(report.candidates[1:], reference.candidates[1:]):
+        assert (ours.center, ours.statistic, ours.p_value, ours.p_eff, ours.in_support) == (
+            theirs.center, theirs.statistic, theirs.p_value, theirs.p_eff, theirs.in_support)
 
 
 def test_estimate_rank_validation():

@@ -12,7 +12,7 @@ from tomospectra.sampling import (
     CountModel,
     EmptySettingError,
     philox_key,
-    rekey,
+    rekeyed,
     stream,
 )
 
@@ -40,18 +40,35 @@ def test_stream_is_the_philox_generator_of_the_key():
                                       reference.multinomial(100, PROBS[0], size=3))
 
 
-def test_rekey_gives_the_fresh_stream_state():
-    """A used generator rekeyed to (r, s) is the generator stream(m, r, s)."""
-    master = 2**63 + 9
-    rng = stream(master, 5, 0)
-    for rep, setting in ((5, 728), (0, 3), (5, 1), (2**32 - 1, 0), (0, 3), (7, 2**32 - 1)):
-        rng.multinomial(100, PROBS[0])  # leave a used counter and buffer behind
-        rng.integers(0, 10, dtype=np.uint32)  # and a half-used 64-bit word
-        rekey(rng, master, rep, setting)
-        fresh = stream(master, rep, setting)
-        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-        np.testing.assert_array_equal(rng.multinomial(100, PROBS[2], size=2),
-                                      fresh.multinomial(100, PROBS[2], size=2))
+def _use(rng):
+    rng.multinomial(100, PROBS[0])  # leave a used counter and buffer behind
+    rng.integers(0, 10, dtype=np.uint32)  # and a half-used 64-bit word
+
+
+def test_rekeyed_walks_the_fresh_stream_states():
+    """At each yielded s, a used generator is the generator stream(m, r, s)."""
+    for master, rep, settings in ((2**63 + 9, 5, 3), (2**64 - 1, 2**32 - 1, 729), (0, 0, 1)):
+        rng = stream(master, 1, 2)
+        _use(rng)
+        seen = []
+        for s in rekeyed(rng, master, rep, settings):
+            fresh = stream(master, rep, s)
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+            np.testing.assert_array_equal(rng.multinomial(100, PROBS[2], size=2),
+                                          fresh.multinomial(100, PROBS[2], size=2))
+            _use(rng)
+            seen.append(s)
+        assert seen == list(range(settings))
+
+
+def test_rekeyed_checks_the_indices_before_moving_the_generator():
+    for rep, settings, what in ((-1, 9, "replica"), (2**32, 9, "replica"),
+                                (0, 2**32 + 1, "setting")):
+        rng = stream(3)
+        before = repr(rng.bit_generator.state)
+        with pytest.raises(ValueError, match="%s index" % what):
+            next(rekeyed(rng, 3, rep, settings))
+        assert repr(rng.bit_generator.state) == before
 
 
 def test_streams_differ_across_coordinates():
