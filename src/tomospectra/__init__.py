@@ -11,8 +11,6 @@ goodness of fit.
 __version__ = "0.2.1"
 
 from .pauli import (
-    PauliString,
-    Setting,
     StateSpec,
     build_state,
     check_density_matrix,
@@ -46,7 +44,6 @@ from .models import (
     semicircle_center,
     semicircle_moment,
     semicircle_radius,
-    semicircle_width,
     single_qubit_density,
 )
 from .gof import (

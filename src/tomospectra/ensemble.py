@@ -371,9 +371,17 @@ def _block_rows(estimate, start, stop, stack):
 
 def _resolve_workers(workers):
     if workers is None:
-        value = os.environ.get(THREADS_ENV, "").strip()
-        workers = int(value) if value else 1
-    workers = int(workers)
+        value = os.environ.get(THREADS_ENV, "").strip() or "1"
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0  # not an integer: rejected below with the value named
+        if workers < 1:
+            raise ValueError("%s must be a positive integer, got %r" % (THREADS_ENV, value))
+        return workers
+    # an int, as for replicas: 2.7 would run 2 workers and True would pass for 1
+    if type(workers) is not int:
+        raise ValueError("worker count must be an integer, got %r" % (workers,))
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     return workers
@@ -474,7 +482,8 @@ def load_ensemble(path):
         raise MalformedEnsembleError("%s is not valid JSON: %s" % (CONFIG_FILE, exc))
     if not isinstance(meta, dict) or "schema_version" not in meta:
         raise MalformedEnsembleError("%s lacks a schema_version" % CONFIG_FILE)
-    if meta["schema_version"] != SCHEMA_VERSION:
+    # the integer itself: true and 1.0 compare equal to 1 but are not version 1
+    if type(meta["schema_version"]) is not int or meta["schema_version"] != SCHEMA_VERSION:
         raise SchemaVersionError("schema version %r not supported (expected %d)"
                                  % (meta["schema_version"], SCHEMA_VERSION))
     try:

@@ -33,8 +33,7 @@ matrix B with B[v, mu] = tr(sigma_mu P_v) / 2**n maps correlation values
 to projector probabilities; it factorizes as the n-fold Kronecker power
 of a single-qubit 4x4 block, so both B and its inverse are applied one
 qubit axis at a time (`apply_per_qubit`) and the dense matrix is never
-needed (`kron_all` still materializes it on demand for small n, where
-checking invertibility literally is cheap).
+formed.
 """
 
 import math
@@ -198,23 +197,20 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def spectrum_of(rho, check_residual=True):
+def spectrum_of(rho):
     """Eigenvalues of a Hermitian matrix as a Spectrum.
 
     Raises if the input is visibly non-Hermitian or if the decomposition
     does not reproduce the matrix to 1e-9 (paranoia against silent LAPACK
-    misuse; disable with check_residual=False in hot loops).
+    misuse).  Runs read their spectra with ``eigvalsh`` instead.
     """
     rho = np.asarray(rho)
     if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("matrix is not Hermitian within tolerance")
-    if check_residual:
-        w, v = np.linalg.eigh(rho)
-        residual = np.abs(rho - (v * w) @ v.conj().T).max()
-        if residual > 1e-9:
-            raise ValueError("eigendecomposition residual %g too large" % residual)
-    else:
-        w = np.linalg.eigvalsh(rho)
+    w, v = np.linalg.eigh(rho)
+    residual = np.abs(rho - (v * w) @ v.conj().T).max()
+    if residual > 1e-9:
+        raise ValueError("eigendecomposition residual %g too large" % residual)
     return Spectrum(eigenvalues=w, trace=float(np.trace(rho).real))
 
 
@@ -244,23 +240,8 @@ class CompleteSchemeFrame:
     """
 
     n: int
-    kets: np.ndarray
     block: np.ndarray
     block_inv: np.ndarray
-
-    def projector(self, v):
-        """Dense rank-1 projector for flat frame index v."""
-        ket = kron_all(self.kets[digits(v, 4, self.n)])
-        return np.outer(ket, ket.conj())
-
-    @property
-    def transfer_matrix(self):
-        """Dense B (4**n x 4**n); fine for small n, avoid for n = 6."""
-        return kron_all([self.block] * self.n)
-
-    @property
-    def transfer_inverse(self):
-        return kron_all([self.block_inv] * self.n)
 
     def probabilities(self, values):
         """Projector probabilities p_v = B @ T from flat correlation values."""
@@ -284,7 +265,7 @@ def build_complete_frame(n):
     block_inv = np.linalg.inv(block)
     if np.abs(block @ block_inv - np.eye(4)).max() > 1e-8:
         raise AssertionError("singular single-qubit transfer block")
-    return CompleteSchemeFrame(n=n, kets=_FRAME_KETS, block=block, block_inv=block_inv)
+    return CompleteSchemeFrame(n=n, block=block, block_inv=block_inv)
 
 
 def estimate_complete(frame, counts, n_flux):

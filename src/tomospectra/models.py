@@ -36,7 +36,6 @@ __all__ = [
     "SingleQubitModel",
     "semicircle_center",
     "semicircle_radius",
-    "semicircle_width",
     "semicircle_moment",
     "min_counts",
     "physicality_probability",
@@ -80,11 +79,6 @@ def semicircle_radius(n, counts, r=0):
         raise ValueError("rank r must lie in 0..2**n - 1")
     base = 2.0 * math.sqrt((10**n - 1) / (12**n * float(counts)))
     return base * math.sqrt(1.0 - r / 2**n)
-
-
-def semicircle_width(n, counts, r=0):
-    """Full support width w_r = 2 R_r of the noise band."""
-    return 2.0 * semicircle_radius(n, counts, r)
 
 
 @dataclass(frozen=True)
@@ -257,9 +251,6 @@ class SingleQubitModel:
 
     counts: int
     normalization: float
-
-    def __call__(self, x):
-        return self.pdf(x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

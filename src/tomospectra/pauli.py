@@ -1,4 +1,4 @@
-"""Pauli-basis toolbox: operator strings, measurement settings, states.
+"""Pauli-basis toolbox: the register convention, states, expectation values.
 
 Every qubit register is ordered left to right, qubit 0 first, and qubit 0
 is the most significant factor in all tensor products and flat indices.
@@ -8,11 +8,14 @@ implementation.
 The fixed conventions used throughout the package are:
 
 * Pauli labels 0, 1, 2, 3 stand for the identity and the X, Y, Z operators.
+  A Pauli string is the flat base-4 index of its labels, ``from_digits(labels, 4)``.
 * A measurement setting picks one of the directions 1, 2, 3 per qubit
-  (there is no "identity measurement"); ``3**n`` settings in total.
+  (there is no "identity measurement"); ``3**n`` settings in total, and
+  setting s measures the directions ``digits(s, 3, n) + 1``.
 * Outcomes are sign tuples in {+1, -1}^n.  Outcome enumeration is
   lexicographic with +1 before -1, i.e. bit 0 of the outcome index means
-  +1 on that qubit and bit 1 means -1, qubit 0 most significant.
+  +1 on that qubit and bit 1 means -1, qubit 0 most significant: outcome
+  r has the signs ``1 - 2 * digits(r, 2, n)``.
 * Measurement eigenvectors (the +1 eigenvector listed first):
   direction 1 (X): (1, 1)/sqrt(2) and (1, -1)/sqrt(2);
   direction 2 (Y): (1, i)/sqrt(2) and (1, -i)/sqrt(2);
@@ -91,94 +94,6 @@ def apply_per_qubit(block, vec, n):
         t = np.moveaxis(t, -n, -1).reshape(batch + (-1, 4)) @ block.T
         t = t.reshape(batch + (4,) * n)
     return t.reshape(vec.shape)
-
-
-def _as_labels(labels):
-    labels = tuple(int(x) for x in labels)
-    if not labels:
-        raise ValueError("empty label sequence")
-    return labels
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Pauli operators, e.g. (1, 0, 3)."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        labels = _as_labels(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if any(l not in (0, 1, 2, 3) for l in labels):
-            raise ValueError("Pauli labels must be in {0, 1, 2, 3}, got %r" % (labels,))
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    @property
-    def weight_j(self):
-        """Number of identity factors (the correlation 'incompleteness')."""
-        return sum(1 for l in self.labels if l == 0)
-
-    @property
-    def index(self):
-        """Flat base-4 index, qubit 0 most significant."""
-        return int(from_digits(self.labels, 4))
-
-    @classmethod
-    def from_index(cls, index, n):
-        return cls(digits(index, 4, n).tolist())
-
-    def __iter__(self):
-        return iter(self.labels)
-
-
-@dataclass(frozen=True)
-class Setting:
-    """A choice of local measurement direction (1, 2 or 3) per qubit."""
-
-    directions: tuple
-
-    def __post_init__(self):
-        directions = _as_labels(self.directions)
-        object.__setattr__(self, "directions", directions)
-        if any(d not in (1, 2, 3) for d in directions):
-            raise ValueError(
-                "setting directions must be in {1, 2, 3}, got %r" % (directions,)
-            )
-
-    @property
-    def n(self):
-        return len(self.directions)
-
-    @property
-    def index(self):
-        """Flat base-3 index (directions shifted to 0..2), qubit 0 first."""
-        return int(from_digits(np.subtract(self.directions, 1), 3))
-
-    @classmethod
-    def from_index(cls, index, n):
-        return cls((digits(index, 3, n) + 1).tolist())
-
-    def __iter__(self):
-        return iter(self.directions)
-
-
-def all_settings(n):
-    """All 3**n settings in index order."""
-    return [Setting.from_index(i, n) for i in range(3**n)]
-
-
-def outcome_signs(n):
-    """(2**n, n) array of outcome signs in the fixed enumeration order."""
-    return 1 - 2 * digits(np.arange(2**n), 2, n)
-
-
-def pauli_matrix(mu):
-    """Dense 2**n x 2**n matrix of the Pauli string ``mu``."""
-    labels = mu.labels if isinstance(mu, PauliString) else _as_labels(mu)
-    return kron_all(SIGMA[list(labels)])
 
 
 def check_density_matrix(rho, n=None):
@@ -345,17 +260,6 @@ def build_state(spec):
 # ---------------------------------------------------------------------------
 # Expectation values
 # ---------------------------------------------------------------------------
-
-
-def pauli_expectation(rho, mu):
-    """tr(rho sigma_mu); real up to numerical noise."""
-    mat = pauli_matrix(mu)
-    if mat.shape != rho.shape:
-        raise ValueError("Pauli string length does not match the matrix dimension")
-    val = np.trace(rho @ mat)
-    if abs(val.imag) > 1e-10:
-        raise ValueError("expectation value has a non-negligible imaginary part")
-    return float(val.real)
 
 
 def correlation_tensor_values(rho, n=None):

@@ -246,13 +246,28 @@ def test_run_ensemble_progress_callback():
     assert all(t == 12 for _, t in calls)
 
 
-def test_run_ensemble_worker_env_and_validation(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "2")
+@pytest.mark.parametrize("workers, env, error", [
+    (None, "2", None),  # workers=None -> env var
+    (0, None, "at least 1"),
+    (None, "abc", "TOMOSPECTRA_THREADS must be a positive integer, got 'abc'"),
+    (None, "2.5", "TOMOSPECTRA_THREADS must be a positive integer, got '2.5'"),
+    (None, "0", "TOMOSPECTRA_THREADS must be a positive integer, got '0'"),
+    (2.7, None, "worker count must be an integer"),
+    (True, None, "worker count must be an integer"),
+    ("2", None, "worker count must be an integer"),
+], ids=["env", "zero", "env-word", "env-float", "env-zero", "float", "bool", "string"])
+def test_run_ensemble_worker_env_and_validation(monkeypatch, workers, env, error):
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, env)
     cfg = small_config(reps=6)
-    ens = run_ensemble(cfg)  # workers=None -> env var
-    np.testing.assert_array_equal(ens.spectra, run_ensemble(cfg, workers=1).spectra)
-    with pytest.raises(ValueError):
-        run_ensemble(cfg, workers=0)
+    if error is None:
+        ens = run_ensemble(cfg, workers=workers)
+        np.testing.assert_array_equal(ens.spectra, run_ensemble(cfg, workers=1).spectra)
+    else:
+        with pytest.raises(ValueError, match=error):
+            run_ensemble(cfg, workers=workers)
 
 
 def test_run_ensemble_failure_reports_completed():
@@ -404,10 +419,12 @@ def test_load_schema_version(tmp_path):
     out = tmp_path / "run"
     save_ensemble(run_ensemble(small_config(reps=3)), str(out))
     meta = json.loads((out / CONFIG_FILE).read_text())
-    meta["schema_version"] = 99
-    (out / CONFIG_FILE).write_text(json.dumps(meta))
-    with pytest.raises(SchemaVersionError):
-        load_ensemble(str(out))
+    # true and 1.0 compare equal to 1, but only the integer 1 is version 1
+    for version in (99, True, 1.0):
+        meta["schema_version"] = version
+        (out / CONFIG_FILE).write_text(json.dumps(meta))
+        with pytest.raises(SchemaVersionError):
+            load_ensemble(str(out))
 
 
 def test_load_malformed_config(tmp_path):

@@ -14,7 +14,18 @@ from tomospectra.estimation import (
     setting_probability_table,
     spectrum_of,
 )
-from tomospectra.pauli import SIGMA, StateSpec, build_state, correlation_tensor_values
+from tomospectra.pauli import (
+    SIGMA,
+    StateSpec,
+    build_state,
+    correlation_tensor_values,
+    digits,
+    kron_all,
+)
+
+# the complete scheme's single-qubit frame kets |0>, |1>, |+>, |+i>
+FRAME_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
+FRAME_KETS[2:] /= np.sqrt(2.0)
 
 
 def base_digits(index, base, n):
@@ -131,7 +142,7 @@ def test_complete_frame_block_is_the_trace_loop_bit_for_bit():
     frame = build_complete_frame(3)
     block = np.empty((4, 4))
     for v in range(4):
-        proj = np.outer(frame.kets[v], frame.kets[v].conj())
+        proj = np.outer(FRAME_KETS[v], FRAME_KETS[v].conj())
         for mu in range(4):
             val = np.trace(SIGMA[mu] @ proj) / 2.0
             assert abs(val.imag) <= 1e-14
@@ -144,8 +155,8 @@ def test_complete_frame_block_is_the_trace_loop_bit_for_bit():
 def test_complete_frame_dense_transfer_invertibility(n):
     """Materialized dense transfer matrix times its inverse is the identity."""
     frame = build_complete_frame(n)
-    dense = frame.transfer_matrix
-    dense_inv = frame.transfer_inverse
+    dense = kron_all([frame.block] * n)
+    dense_inv = kron_all([frame.block_inv] * n)
     assert dense.shape == (4**n, 4**n)
     np.testing.assert_allclose(dense @ dense_inv, np.eye(4**n), atol=1e-10)
     # Kronecker-factored application agrees with the dense product
@@ -161,13 +172,12 @@ def test_complete_frame_projector_probabilities():
     p = frame.probabilities(correlation_tensor_values(rho))
     # every rank-1 projector sees tr(P/4) = 1/4 on white noise
     np.testing.assert_allclose(p, 0.25, atol=1e-12)
-    for v in (0, 3, 7, 15):
-        proj = frame.projector(v)
-        np.testing.assert_allclose(proj, proj.conj().T, atol=1e-12)
-        assert np.trace(proj).real == pytest.approx(1.0)
-        eigs = np.linalg.eigvalsh(proj)
-        np.testing.assert_allclose(eigs[:-1], 0, atol=1e-12)
-        assert eigs[-1] == pytest.approx(1.0)
+    # and p_v = <v|rho|v> for the product ket v, qubit 0 leftmost, on any state
+    rho = build_state(StateSpec(kind="rank_r_plus_noise", n=2, q=0.7, r=2, seed=4))
+    p = frame.probabilities(correlation_tensor_values(rho))
+    for v in range(16):
+        ket = kron_all(FRAME_KETS[digits(v, 4, 2)])
+        assert p[v] == pytest.approx((ket.conj() @ rho @ ket).real, abs=1e-12)
 
 
 def test_estimate_complete_inverts_exact_data():

@@ -18,14 +18,13 @@ from tomospectra.models import (
     semicircle_center,
     semicircle_moment,
     semicircle_radius,
-    semicircle_width,
     single_qubit_density,
 )
 from tomospectra.pauli import StateSpec
 from tomospectra.sampling import MULTINOMIAL, CountModel
 
 
-# --- centers, radii, widths -------------------------------------------------
+# --- centers and radii ------------------------------------------------------
 
 
 def test_center_values():
@@ -40,7 +39,6 @@ def test_radius_reference_value():
     expected = 2.0 * math.sqrt(999999.0 / 2985984.0) / 10.0
     assert semicircle_radius(6, 100) == pytest.approx(expected, rel=1e-15)
     assert semicircle_radius(6, 100) == pytest.approx(0.115741, abs=1e-6)
-    assert semicircle_width(6, 100) == pytest.approx(2 * expected, rel=1e-15)
 
 
 def test_radius_rank_correction():
@@ -291,7 +289,6 @@ def test_single_qubit_pdf_cdf():
     for x in (0.35, 0.45, 0.55, 0.62):
         val, _ = integrate.quad(model.pdf, -1.0, x, points=[0.5])
         assert model.cdf(x) == pytest.approx(val, abs=1e-8)
-    assert model(0.4) == model.pdf(0.4)
 
 
 def test_single_qubit_validation():

@@ -1,6 +1,4 @@
-"""States, Pauli strings, settings, and exact outcome probabilities."""
-
-import functools
+"""The register convention, states, and exact outcome probabilities."""
 
 import numpy as np
 import pytest
@@ -11,10 +9,7 @@ from tomospectra.estimation import setting_probability_table
 from tomospectra.pauli import (
     MAX_QUBITS_DENSE,
     SIGMA,
-    PauliString,
-    Setting,
     StateSpec,
-    all_settings,
     apply_per_qubit,
     build_state,
     check_density_matrix,
@@ -26,9 +21,6 @@ from tomospectra.pauli import (
     ghz_vector,
     haar_orthonormal_columns,
     kron_all,
-    outcome_signs,
-    pauli_expectation,
-    pauli_matrix,
 )
 
 # Born-rule oracle, independent of the package's table: the +1 and -1
@@ -43,15 +35,21 @@ EIGENVECTORS = {
 def born_rule_table(rho, n):
     """p_r^s = <v|rho|v>, v the product eigenvector of outcome r under setting s."""
     table = np.empty((3**n, 2**n))
-    for s in all_settings(n):
+    for s, directions in enumerate(digits(np.arange(3**n), 3, n) + 1):
         # row r of the Kronecker product is outcome r's ket (qubit 0 most significant)
-        kets = functools.reduce(np.kron, [EIGENVECTORS[d] for d in s.directions])
-        table[s.index] = np.einsum("ri,ij,rj->r", kets.conj(), rho, kets).real
+        kets = kron_all([EIGENVECTORS[d] for d in directions])
+        table[s] = np.einsum("ri,ij,rj->r", kets.conj(), rho, kets).real
     return table
 
 
+def trace_expectation(rho, labels):
+    """tr(rho sigma_mu) for the Pauli string with these labels, by dense product."""
+    return np.trace(rho @ kron_all(SIGMA[list(labels)])).real
+
+
 def table_row(rho, directions):
-    return setting_probability_table(rho, len(directions))[Setting(directions).index]
+    row = from_digits(np.subtract(directions, 1), 3)
+    return setting_probability_table(rho, len(directions))[row]
 
 
 def test_pauli_algebra():
@@ -105,37 +103,27 @@ def test_kron_all_and_apply_per_qubit_agree_with_explicit_products():
 
 
 def test_pauli_string_round_trip():
-    for idx in range(4**3):
-        mu = PauliString.from_index(idx, 3)
-        assert mu.index == idx
-        assert mu.weight_j == sum(1 for l in mu.labels if l == 0)
-    assert PauliString((0, 3, 1)).index == 0 * 16 + 3 * 4 + 1
+    """Pauli labels and their flat base-4 index, qubit 0 most significant."""
+    labels = digits(np.arange(4**3), 4, 3)
+    np.testing.assert_array_equal(from_digits(labels, 4), np.arange(4**3))
+    assert from_digits([0, 3, 1], 4) == 0 * 16 + 3 * 4 + 1
     # indices stay exact past the int64 range (4**40 > 2**63)
-    long = PauliString((3,) * 40)
-    assert long.index == 4**40 - 1
-    assert PauliString.from_index(long.index, 40) == long
-
-
-def test_pauli_string_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        PauliString((0, 4))
-    with pytest.raises(ValueError):
-        PauliString(())
+    top = from_digits([3] * 40, 4)
+    assert top == 4**40 - 1
+    assert digits(top, 4, 40).tolist() == [3] * 40
 
 
 def test_setting_round_trip_and_enumeration():
-    settings = all_settings(2)
-    assert len(settings) == 9
-    assert settings[0].directions == (1, 1)
+    directions = digits(np.arange(9), 3, 2) + 1
+    assert directions[0].tolist() == [1, 1]
     # base-3 ordering, qubit 0 most significant
-    assert settings[1].directions == (1, 2)
-    assert settings[3].directions == (2, 1)
-    for i, s in enumerate(settings):
-        assert s.index == i
+    assert directions[1].tolist() == [1, 2]
+    assert directions[3].tolist() == [2, 1]
+    np.testing.assert_array_equal(from_digits(directions - 1, 3), np.arange(9))
 
 
 def test_outcome_conventions():
-    signs = outcome_signs(2)
+    signs = 1 - 2 * digits(np.arange(4), 2, 2)
     # index 0 is all +1; qubit 0 owns the most significant bit
     assert signs[0].tolist() == [1, 1]
     assert signs[1].tolist() == [1, -1]
@@ -143,11 +131,10 @@ def test_outcome_conventions():
 
 
 def test_pauli_matrix_small_cases():
-    np.testing.assert_array_equal(pauli_matrix((3,)), SIGMA[3])
-    zz = pauli_matrix((3, 3))
-    np.testing.assert_allclose(np.diag(zz), [1, -1, -1, 1])
-    xi = pauli_matrix(PauliString((1, 0)))
-    np.testing.assert_allclose(xi, np.kron(SIGMA[1], SIGMA[0]))
+    """A Pauli string's matrix is kron_all(SIGMA[labels]), qubit 0 leftmost."""
+    np.testing.assert_array_equal(kron_all(SIGMA[[3]]), SIGMA[3])
+    np.testing.assert_allclose(np.diag(kron_all(SIGMA[[3, 3]])), [1, -1, -1, 1])
+    np.testing.assert_allclose(kron_all(SIGMA[[1, 0]]), np.kron(SIGMA[1], SIGMA[0]))
 
 
 def test_check_density_matrix_contract():
@@ -262,11 +249,12 @@ def test_build_state_mixing_and_spectra():
 
 def test_pauli_expectations_of_ghz():
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=3, q=1.0))
-    assert pauli_expectation(rho, (3, 3, 0)) == pytest.approx(1.0)
-    assert pauli_expectation(rho, (1, 1, 1)) == pytest.approx(1.0)
+    values = correlation_tensor_values(rho)
+    assert values[from_digits([3, 3, 0], 4)] == pytest.approx(1.0)
+    assert values[from_digits([1, 1, 1], 4)] == pytest.approx(1.0)
     # an odd number of Y's flips the sign under the GHZ parity
-    assert pauli_expectation(rho, (2, 2, 1)) == pytest.approx(-1.0)
-    assert pauli_expectation(rho, (3, 0, 0)) == pytest.approx(0.0)
+    assert values[from_digits([2, 2, 1], 4)] == pytest.approx(-1.0)
+    assert values[from_digits([3, 0, 0], 4)] == pytest.approx(0.0)
 
 
 def test_outcome_probabilities_z_basis_reads_diagonal():
@@ -302,14 +290,12 @@ def test_probability_table_matches_born_rule_row_by_row():
     rho = build_state(StateSpec(kind="pure_plus_noise", n=2, q=0.85, seed=11))
     table = setting_probability_table(rho, 2)
     expected = born_rule_table(rho, 2)
-    signs = outcome_signs(2)
-    for s in all_settings(2):
-        np.testing.assert_allclose(table[s.index], expected[s.index], atol=1e-12)
+    parity = (1 - 2 * digits(np.arange(4), 2, 2)).prod(axis=1)
+    for s, directions in enumerate(digits(np.arange(9), 3, 2) + 1):
+        np.testing.assert_allclose(table[s], expected[s], atol=1e-12)
         # and the correlation read off the probabilities matches tr(rho sigma)
-        t_full = (table[s.index] * signs.prod(axis=1)).sum()
-        assert t_full == pytest.approx(
-            pauli_expectation(rho, s.directions), abs=1e-12
-        )
+        t_full = (table[s] * parity).sum()
+        assert t_full == pytest.approx(trace_expectation(rho, directions), abs=1e-12)
 
 
 @st.composite
@@ -352,7 +338,7 @@ def test_probability_table_hygiene():
         setting_probability_table(np.diag([1.5, -0.5]).astype(complex), 1)
     # tiny negatives from floating-point cancellation are clipped
     table = setting_probability_table(np.diag([1.0 + 1e-13, -1e-13]).astype(complex), 1)
-    z_row = Setting((3,)).index
+    z_row = from_digits([3 - 1], 3)
     assert table[z_row, 1] == 0.0
     assert table.min() >= 0.0
     np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-15)
@@ -364,21 +350,15 @@ def test_correlation_tensor_values_against_trace_route():
     values = correlation_tensor_values(rho)
     assert values.shape == (64,)
     assert values[0] == pytest.approx(1.0)
-    for idx in range(64):
-        mu = PauliString.from_index(idx, 3)
-        assert values[idx] == pytest.approx(
-            pauli_expectation(rho, mu), abs=1e-11
-        ), mu.labels
+    for idx, labels in enumerate(digits(np.arange(64), 4, 3)):
+        assert values[idx] == pytest.approx(trace_expectation(rho, labels), abs=1e-11), labels
 
 
 def test_correlation_reconstruction_identity():
     # rho = 2^-n sum_mu T_mu sigma_mu recovers the state exactly
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=2, q=0.6))
     values = correlation_tensor_values(rho)
-    rebuilt = sum(
-        values[PauliString.from_index(i, 2).index] * pauli_matrix(PauliString.from_index(i, 2))
-        for i in range(16)
-    ) / 4
+    rebuilt = sum(values[i] * kron_all(SIGMA[digits(i, 4, 2)]) for i in range(16)) / 4
     np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
 
 
