@@ -17,7 +17,6 @@ Finally the accepted rank is used to rebuild a *physical* estimate.
 import numpy as np
 
 import tomospectra as ts
-from tomospectra.estimation import spectrum_of
 from tomospectra.gof import reconstruct_physical_estimate
 
 N_QUBITS = 6
@@ -66,7 +65,7 @@ if report.chosen_rank is not None:
     print()
     print("physical reconstruction from replica 0:")
     print("  smallest eigenvalue before: %+.5f   after: %+.5f"
-          % (w.min(), spectrum_of(rho_phys).min))
+          % (w.min(), np.linalg.eigvalsh(rho_phys)[0]))
     print("  fidelity to the true state: linear %.4f -> physical %.4f"
           % (ts.fidelity(rho_true, rho_lin), ts.fidelity(rho_true, rho_phys)))
     print("  (a linear estimate is not a state; its 'fidelity' may exceed 1)")

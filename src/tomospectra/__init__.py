@@ -8,7 +8,7 @@ count planning, and a rank-estimation test built on Anderson-Darling
 goodness of fit.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 from .pauli import (
     StateSpec,
@@ -26,12 +26,10 @@ from .sampling import (
 )
 from .estimation import (
     CompleteSchemeFrame,
-    Spectrum,
     build_complete_frame,
     correlations_from_frequencies,
     estimate_complete,
     setting_probability_table,
-    spectrum_of,
 )
 from .models import (
     LaplaceModel,
@@ -42,7 +40,6 @@ from .models import (
     min_counts,
     physicality_probability,
     semicircle_center,
-    semicircle_moment,
     semicircle_radius,
     single_qubit_density,
 )
@@ -56,7 +53,6 @@ from .gof import (
     estimate_rank,
     reconstruct_physical_estimate,
     sup_cdf_distance,
-    unphysical_fraction,
 )
 from .ensemble import (
     ChecksumMismatchError,
@@ -67,7 +63,6 @@ from .ensemble import (
     MalformedEnsembleError,
     SchemaVersionError,
     SpectrumEnsemble,
-    empirical_moments,
     load_ensemble,
     replica_estimator,
     replica_frequencies,

@@ -21,6 +21,7 @@ from .ensemble import (
     EnsembleIOError,
     EnsembleRunError,
     ExperimentConfig,
+    _resolve_workers,
     load_ensemble,
     run_ensemble,
     save_ensemble,
@@ -202,8 +203,10 @@ def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
         raise _bad("must be a positive replica count", "--reps")
     if seed < 0:
         raise _bad("must be nonnegative", "--seed")
-    if threads is not None and threads < 1:
-        raise _bad("must be at least 1", "--threads")
+    try:  # --threads, or else $TOMOSPECTRA_THREADS, by the runner's own rule
+        workers = _resolve_workers(threads)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     spec = _build_state_spec(qubits, state, q, state_rank, excitations, state_seed)
     if scheme == OVERCOMPLETE:
         if counts is None:
@@ -235,7 +238,7 @@ def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
             bar.update(done - state_done[0])
             state_done[0] = done
 
-        result = run_ensemble(config, workers=threads, progress=advance)
+        result = run_ensemble(config, workers=workers, progress=advance)
     save_ensemble(result, out)
     doc = result.summary()
     doc["master_seed"] = seed

@@ -33,7 +33,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 
 import numpy as np
@@ -45,7 +44,7 @@ from .estimation import (
     reconstruct_from_values,
     setting_probability_table,
 )
-from .pauli import StateSpec, build_state, correlation_tensor_values
+from .pauli import StateSpec, _integer, _real, build_state, correlation_tensor_values
 from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekeyed, stream
 
 OVERCOMPLETE = "overcomplete"
@@ -127,18 +126,18 @@ class ExperimentConfig:
         else:
             if self.count_model is not None:
                 raise ValueError("count_model applies to the overcomplete scheme only")
-            # a number type is required: "1e5" from config.json is malformed
-            counts = self.total_counts
-            if isinstance(counts, bool) or not isinstance(counts, numbers.Real):
-                raise ValueError("total_counts must be a number, got %r" % (counts,))
+            counts = _real("total_counts", self.total_counts)
             if not counts > 0:
                 raise ValueError("complete scheme requires positive total_counts")
-            object.__setattr__(self, "total_counts", float(counts))
-        # exact int type: a bool or a float read from config.json is rejected
-        if type(self.replicas) is not int or self.replicas < 1:
+            object.__setattr__(self, "total_counts", counts)
+        replicas = _integer("replicas", self.replicas)
+        if replicas < 1:
             raise ValueError("replicas must be a positive integer")
-        if type(self.master_seed) is not int or self.master_seed < 0:
+        master_seed = _integer("master_seed", self.master_seed)
+        if master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
+        object.__setattr__(self, "replicas", replicas)
+        object.__setattr__(self, "master_seed", master_seed)
 
     @classmethod
     def overcomplete(cls, state, count_model, replicas, master_seed=0):
@@ -221,13 +220,22 @@ class SpectrumEnsemble:
         return self.spectra.ravel()
 
     def moments(self, k_max=6):
-        return empirical_moments(self, k_max)
+        """Central moments m_2 .. m_k_max of the pooled eigenvalue sample.
+
+        All replicas' eigenvalues are pooled into one sample and the
+        moments are taken about the pooled mean (which sits at 2^-n up to
+        sampling error, since the trace of every estimate is one).
+        Returns a dict keyed by moment order.
+        """
+        if k_max < 2:
+            raise ValueError("k_max must be at least 2")
+        centered = self.pooled - self.pooled.mean()
+        return {k: float(np.mean(centered**k)) for k in range(2, k_max + 1)}
 
     def unphysical_fraction(self):
         """Fraction of replicas with at least one negative eigenvalue."""
-        from .gof import unphysical_fraction
-
-        return unphysical_fraction(self.spectra)
+        # rows ascend, so column 0 holds each replica's smallest eigenvalue
+        return float(np.mean(self.spectra[:, 0] < 0.0))
 
     def summary(self):
         """Headline numbers: pooled mean, central moments, ratios, physicality."""
@@ -246,24 +254,6 @@ class SpectrumEnsemble:
             out["m4_over_m2_sq"] = m[4] / m[2] ** 2
             out["m6_over_m2_cube"] = m[6] / m[2] ** 3
         return out
-
-
-def empirical_moments(ensemble, k_max=6):
-    """Central moments m_2 .. m_k_max of the pooled eigenvalue sample.
-
-    All replicas' eigenvalues are pooled into one sample and the
-    moments are taken about the pooled mean (which sits at 2^-n up to
-    sampling error, since the trace of every estimate is one).
-    Returns a dict keyed by moment order.
-    """
-    spectra = getattr(ensemble, "spectra", ensemble)
-    pooled = np.asarray(spectra, dtype=float).ravel()
-    if pooled.size == 0:
-        raise ValueError("cannot take moments of an empty ensemble")
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    centered = pooled - pooled.mean()
-    return {k: float(np.mean(centered**k)) for k in range(2, k_max + 1)}
 
 
 #: at most this many frequency-table entries (3**n x 2**n per replica) in
@@ -379,9 +369,7 @@ def _resolve_workers(workers):
         if workers < 1:
             raise ValueError("%s must be a positive integer, got %r" % (THREADS_ENV, value))
         return workers
-    # an int, as for replicas: 2.7 would run 2 workers and True would pass for 1
-    if type(workers) is not int:
-        raise ValueError("worker count must be an integer, got %r" % (workers,))
+    workers = _integer("worker count", workers)
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     return workers

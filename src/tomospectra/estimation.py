@@ -1,4 +1,4 @@
-"""Linear state estimation: counts -> correlations -> matrix -> spectrum.
+"""Linear state estimation: counts -> correlations -> matrix.
 
 Flat indices, tensor products and per-qubit contractions go through the
 register helpers of `tomospectra.pauli` (`digits`/`from_digits`,
@@ -50,15 +50,6 @@ from .pauli import (
     from_digits,
     kron_all,
 )
-
-__all__ = [
-    "Spectrum",
-    "CompleteSchemeFrame",
-    "spectrum_of",
-    "build_complete_frame",
-    "estimate_complete",
-]
-
 
 # ---------------------------------------------------------------------------
 # Precomputed index machinery (cached per qubit number)
@@ -144,7 +135,7 @@ def setting_probability_table(rho, n):
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction and spectra
+# Reconstruction
 # ---------------------------------------------------------------------------
 
 
@@ -165,53 +156,6 @@ def reconstruct_from_values(values, n):
     perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
     rho = t.transpose(perm).reshape(batch + (2**n, 2**n))
     return rho / 2**n
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of one estimate, ascending, plus the trace they sum to."""
-
-    eigenvalues: np.ndarray
-    trace: float
-
-    def __post_init__(self):
-        eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        if eigenvalues.ndim != 1:
-            raise ValueError("eigenvalues must be a flat sequence")
-        if np.any(np.diff(eigenvalues) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
-        if abs(eigenvalues.sum() - self.trace) > 1e-9:
-            raise ValueError("eigenvalue sum does not match the trace")
-
-    @property
-    def n(self):
-        return int(len(self.eigenvalues)).bit_length() - 1
-
-    @property
-    def min(self):
-        return float(self.eigenvalues[0])
-
-    @property
-    def max(self):
-        return float(self.eigenvalues[-1])
-
-
-def spectrum_of(rho):
-    """Eigenvalues of a Hermitian matrix as a Spectrum.
-
-    Raises if the input is visibly non-Hermitian or if the decomposition
-    does not reproduce the matrix to 1e-9 (paranoia against silent LAPACK
-    misuse).  Runs read their spectra with ``eigvalsh`` instead.
-    """
-    rho = np.asarray(rho)
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(rho)
-    residual = np.abs(rho - (v * w) @ v.conj().T).max()
-    if residual > 1e-9:
-        raise ValueError("eigendecomposition residual %g too large" % residual)
-    return Spectrum(eigenvalues=w, trace=float(np.trace(rho).real))
 
 
 # ---------------------------------------------------------------------------

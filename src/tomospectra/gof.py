@@ -29,18 +29,6 @@ import numpy as np
 
 from .models import SemicircleModel, semicircle_radius
 
-__all__ = [
-    "RankCandidate",
-    "RankTestReport",
-    "anderson_darling",
-    "a2_null_cdf",
-    "estimate_rank",
-    "reconstruct_physical_estimate",
-    "sup_cdf_distance",
-    "unphysical_fraction",
-    "NoAcceptedRankError",
-]
-
 _CLAMP = 1e-15
 
 
@@ -327,14 +315,3 @@ def reconstruct_physical_estimate(eigenvalues, eigenvectors, report):
         raise ValueError("non-positive total weight; cannot normalize")
     floored /= total
     return (eigenvectors * floored) @ eigenvectors.conj().T
-
-
-def unphysical_fraction(spectra):
-    """Fraction of spectra with at least one strictly negative eigenvalue."""
-    rows = getattr(spectra, "spectra", spectra)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.size == 0:
-        raise ValueError("empty ensemble")
-    return float(np.mean(rows.min(axis=1) < 0.0))

@@ -17,10 +17,6 @@ The complete projector scheme instead produces a two-sided exponential
 both are provided here, together with the even-moment Catalan identities
 and the probability that a semicircle-distributed spectrum is entirely
 nonnegative.
-
-Only the one-qubit law needs SciPy, so `single_qubit_density` and
-`SingleQubitModel.cdf` import it on first call, and `import tomospectra`
-does not pay for SciPy.
 """
 
 import math
@@ -29,20 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUBITS_ANALYTIC = 10
-
-__all__ = [
-    "SemicircleModel",
-    "LaplaceModel",
-    "SingleQubitModel",
-    "semicircle_center",
-    "semicircle_radius",
-    "semicircle_moment",
-    "min_counts",
-    "physicality_probability",
-    "single_qubit_density",
-    "laplace_model",
-    "catalan",
-]
 
 
 def _check_n(n):
@@ -124,7 +106,13 @@ class SemicircleModel:
         return out if out.ndim else float(out)
 
     def central_moment(self, k):
-        return semicircle_moment(self, k)
+        """k-th central moment: 0 for odd k, else C_{k/2} (R/2)**k."""
+        k = int(k)
+        if k < 1:
+            raise ValueError("moment order must be >= 1")
+        if k % 2:
+            return 0.0
+        return catalan(k // 2) * (self.radius / 2.0) ** k
 
 
 def catalan(k):
@@ -141,16 +129,6 @@ def catalan(k):
     for i in range(k):
         c = c * 2 * (2 * i + 1) // (i + 2)
     return c
-
-
-def semicircle_moment(model, k):
-    """k-th central moment of the semicircle: 0 for odd k, else C_{k/2} (R/2)**k."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    if k % 2:
-        return 0.0
-    return catalan(k // 2) * (model.radius / 2.0) ** k
 
 
 # Printed reference thresholds use the (5/6)**n shorthand for the radius
@@ -238,6 +216,10 @@ def laplace_model(n, total_counts):
     return LaplaceModel(center=2.0**-n, alpha=math.sqrt(2.0 * total_counts / 4**n))
 
 
+# math.erfc elementwise; its object-dtype results are cast back to float
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
 @dataclass(frozen=True)
 class SingleQubitModel:
     """Exact one-qubit eigenvalue density at N events per setting.
@@ -245,8 +227,8 @@ class SingleQubitModel:
     g(lambda) = C exp(-(1 - 2 lambda)**2 N / 2) (1 - 2 lambda)**2, the
     distribution of (1 +- |T~|)/2 with the three correlation estimates
     fluctuating like independent Gaussians of variance 1/N.  The
-    normalization C is fixed by quadrature (and agrees with the
-    closed-form sqrt(2/pi) N**1.5 to the quadrature tolerance).
+    normalization C = sqrt(2/pi) N**1.5 makes its integral over the real
+    line exactly 1.
     """
 
     counts: int
@@ -259,34 +241,21 @@ class SingleQubitModel:
         return out if out.ndim else float(out)
 
     def cdf(self, x):
-        # integral of the pdf; erfc form, exact for the quadrature C
-        from scipy import special
-
+        # integral of the pdf, in erfc form
         x = np.asarray(x, dtype=float)
         a = 0.5 * self.counts
         u = 1.0 - 2.0 * x
+        erfc = np.asarray(_ERFC(math.sqrt(a) * u), dtype=float)
         tail = u * np.exp(-a * u**2) / (2.0 * a) + (
             math.sqrt(math.pi) / (4.0 * a**1.5)
-        ) * special.erfc(math.sqrt(a) * u)
+        ) * erfc
         out = 0.5 * self.normalization * tail
         return out if out.ndim else float(out)
 
 
 def single_qubit_density(counts):
     """Build the exact single-qubit eigenvalue model for N events per setting."""
-    from scipy import integrate
-
     counts = int(counts)
     if counts < 1:
         raise ValueError("counts must be >= 1")
-    a = 0.5 * counts
-    half_width = 10.0 / math.sqrt(counts)
-
-    def unnormalized(x):
-        u = 1.0 - 2.0 * x
-        return math.exp(-a * u * u) * u * u
-
-    mass, _ = integrate.quad(
-        unnormalized, 0.5 - half_width, 0.5 + half_width, epsrel=1e-8, limit=200
-    )
-    return SingleQubitModel(counts=counts, normalization=1.0 / mass)
+    return SingleQubitModel(counts=counts, normalization=math.sqrt(2.0 / math.pi) * counts**1.5)

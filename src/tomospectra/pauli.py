@@ -96,6 +96,27 @@ def apply_per_qubit(block, vec, n):
     return t.reshape(vec.shape)
 
 
+def _integer(name, value):
+    """``value`` as an int; its type must be an integer type other than bool.
+
+    A float or a bool is rejected, not truncated: int(100.7) would silently
+    drop events, seed=3.7 would replay seed 3 and True would pass for 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
+def _real(name, value):
+    """``value`` as a float; its type must be a real number type other than bool.
+
+    True would pass for 1, and "0.5" read from a config.json is malformed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return float(value)
+
+
 def check_density_matrix(rho, n=None):
     """Validate the density-matrix contract (Hermitian, trace 1, 2**n dim).
 
@@ -153,19 +174,12 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise ValueError("unknown state kind %r" % (self.kind,))
-        # integer types only: k=1.5 would build a NaN state, seed=3.7 would
-        # replay seed 3 and True would pass for 1
+        # k=1.5 would build a NaN state
         for name in ("n", "r", "k", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.n <= MAX_QUBITS_DENSE:
             raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
-        # a real number type: True would pass for 1, "0.5" from config.json is malformed
-        if isinstance(self.q, bool) or not isinstance(self.q, numbers.Real):
-            raise ValueError("signal weight q must be a number, got %r" % (self.q,))
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "q", _real("signal weight q", self.q))
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("signal weight q must lie in [0, 1]")
         if self.kind == "white_noise" and self.q != 0.0:

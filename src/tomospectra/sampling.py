@@ -25,12 +25,13 @@ through one replica's setting streams, which costs a fraction of
 building new generators and yields the same states bit for bit.
 """
 
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .pauli import _integer
 
 _MASK64 = (1 << 64) - 1
 _SHIFT = 1 << 32
@@ -52,11 +53,6 @@ def _key_words(master_seed, replica_index, setting_index):
     if not 0 <= setting < _SHIFT:
         raise ValueError("setting index out of the 32-bit seeding range")
     return master & _MASK64, replica * _SHIFT + setting
-
-
-def philox_key(master_seed, replica_index, setting_index):
-    """The 128-bit Philox key for one (master, replica, setting) triple."""
-    return np.array(_key_words(master_seed, replica_index, setting_index), dtype=np.uint64)
 
 
 class _FixedKey(ISeedSequence):
@@ -81,8 +77,8 @@ class _FixedKey(ISeedSequence):
 
 def stream(master_seed, replica_index=0, setting_index=0):
     """The dedicated random generator of one (master, replica, setting)."""
-    return np.random.Generator(np.random.Philox(
-        _FixedKey(philox_key(master_seed, replica_index, setting_index))))
+    key = np.array(_key_words(master_seed, replica_index, setting_index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_FixedKey(key)))
 
 
 # a fresh Philox: counter 0 and an empty output buffer (the state setter
@@ -128,10 +124,7 @@ class CountModel:
     def __post_init__(self):
         if self.mode not in (MULTINOMIAL, POISSON):
             raise ValueError("count model mode must be multinomial or poisson")
-        events = self.events_per_setting
-        # an integer type is required: int(100.7) would silently drop events
-        if isinstance(events, bool) or not isinstance(events, numbers.Integral):
-            raise ValueError("events per setting must be an integer, got %r" % (events,))
+        events = _integer("events per setting", self.events_per_setting)
         if events < 1:
             raise ValueError("events per setting must be >= 1")
-        object.__setattr__(self, "events_per_setting", int(events))
+        object.__setattr__(self, "events_per_setting", events)

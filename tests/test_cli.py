@@ -8,7 +8,7 @@ import pytest
 
 from tomospectra import models
 from tomospectra.cli import HISTOGRAM_FILE, OVERLAY_FILE, SUMMARY_FILE, main
-from tomospectra.ensemble import load_ensemble
+from tomospectra.ensemble import THREADS_ENV, load_ensemble
 from tomospectra.schemas import load_schema
 
 
@@ -135,32 +135,43 @@ def test_simulate_threads_are_byte_identical(tmp_path, capsys):
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # overcomplete scheme must not take --total-counts
-        ("simulate", "--qubits", "2", "--counts", "50", "--total-counts", "100",
-         "--reps", "2", "--out", "x"),
-        # complete scheme must not take --counts
-        ("simulate", "--qubits", "2", "--scheme", "complete", "--counts", "50",
-         "--total-counts", "100", "--reps", "2", "--out", "x"),
-        ("simulate", "--qubits", "2", "--scheme", "complete", "--reps", "2",
-         "--out", "x"),
-        ("simulate", "--qubits", "2", "--reps", "2", "--out", "x"),
-        ("simulate", "--qubits", "2", "--counts", "50", "--reps", "0", "--out", "x"),
-        ("simulate", "--qubits", "2", "--counts", "50", "--reps", "2"),
-        ("simulate", "--qubits", "2", "--state", "plasma", "--counts", "50",
-         "--reps", "2", "--out", "x"),
-        # negative signal weight is rejected by the state validation
-        ("simulate", "--qubits", "2", "--state", "ghz", "--q", "-0.2",
-         "--counts", "50", "--reps", "2", "--out", "x"),
-    ],
-)
-def test_simulate_usage_errors(tmp_path, capsys, argv):
-    argv = [a if a != "x" else str(tmp_path / "run") for a in argv]
+SIMULATE_USAGE_ERRORS = [
+    # overcomplete scheme must not take --total-counts
+    (("simulate", "--qubits", "2", "--counts", "50", "--total-counts", "100",
+      "--reps", "2", "--out", "x"), None),
+    # complete scheme must not take --counts
+    (("simulate", "--qubits", "2", "--scheme", "complete", "--counts", "50",
+      "--total-counts", "100", "--reps", "2", "--out", "x"), None),
+    (("simulate", "--qubits", "2", "--scheme", "complete", "--reps", "2",
+      "--out", "x"), None),
+    (("simulate", "--qubits", "2", "--reps", "2", "--out", "x"), None),
+    (("simulate", "--qubits", "2", "--counts", "50", "--reps", "0", "--out", "x"), None),
+    (("simulate", "--qubits", "2", "--counts", "50", "--reps", "2"), None),
+    (("simulate", "--qubits", "2", "--state", "plasma", "--counts", "50",
+      "--reps", "2", "--out", "x"), None),
+    # negative signal weight is rejected by the state validation
+    (("simulate", "--qubits", "2", "--state", "ghz", "--q", "-0.2",
+      "--counts", "50", "--reps", "2", "--out", "x"), None),
+    # the worker count, from the flag or from the environment
+    (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--threads", "0",
+      "--out", "x"), None),
+    (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--out", "x"), "abc"),
+]
+
+
+@pytest.mark.parametrize("argv, threads_env", SIMULATE_USAGE_ERRORS,
+                         ids=["argv%d" % i for i in range(len(SIMULATE_USAGE_ERRORS))])
+def test_simulate_usage_errors(tmp_path, capsys, monkeypatch, argv, threads_env):
+    if threads_env is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, threads_env)
+    out = tmp_path / "run"
+    argv = [a if a != "x" else str(out) for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err
+    assert not out.exists()
 
 
 def test_simulate_poisson_empty_setting_is_a_runtime_error(tmp_path, capsys):

@@ -24,7 +24,6 @@ from tomospectra.ensemble import (
     MalformedEnsembleError,
     SchemaVersionError,
     SpectrumEnsemble,
-    empirical_moments,
     load_ensemble,
     replica_estimator,
     run_ensemble,
@@ -270,6 +269,19 @@ def test_run_ensemble_worker_env_and_validation(monkeypatch, workers, env, error
             run_ensemble(cfg, workers=workers)
 
 
+def test_numpy_integers_are_integers(tmp_path):
+    """replicas, master_seed and workers follow StateSpec's rule: any integer type."""
+    plain = run_ensemble(small_config(reps=3, seed=9), workers=1)
+    numpy = run_ensemble(small_config(reps=np.int64(3), seed=np.int64(9)),
+                         workers=np.int64(1))
+    save_ensemble(plain, str(tmp_path / "plain"))
+    save_ensemble(numpy, str(tmp_path / "numpy"))
+    config = json.loads((tmp_path / "numpy" / CONFIG_FILE).read_text())["config"]
+    assert type(config["replicas"]) is int and type(config["master_seed"]) is int
+    assert ((tmp_path / "numpy" / SPECTRA_FILE).read_bytes()
+            == (tmp_path / "plain" / SPECTRA_FILE).read_bytes())
+
+
 def test_run_ensemble_failure_reports_completed():
     # Poisson with one expected event per setting hits an all-zero draw
     # almost immediately; the error records how far the run got
@@ -334,12 +346,9 @@ def test_moments_by_hand():
     assert m[2] == pytest.approx(np.mean(centered**2), rel=1e-15)
     assert m[3] == pytest.approx(np.mean(centered**3), rel=1e-15)
     assert m[4] == pytest.approx(np.mean(centered**4), rel=1e-15)
-    # the helper also accepts bare arrays
-    assert empirical_moments(rows, 2)[2] == m[2]
-    with pytest.raises(ValueError):
-        empirical_moments(rows, 1)
-    with pytest.raises(ValueError):
-        empirical_moments(np.empty((0, 4)))
+    assert ens.moments(2) == {2: m[2]}
+    with pytest.raises(ValueError, match="k_max"):
+        ens.moments(1)
 
 
 def test_summary_contents():

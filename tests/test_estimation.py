@@ -6,13 +6,11 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from tomospectra.estimation import (
-    Spectrum,
     build_complete_frame,
     correlations_from_frequencies,
     estimate_complete,
     reconstruct_from_values,
     setting_probability_table,
-    spectrum_of,
 )
 from tomospectra.pauli import (
     SIGMA,
@@ -100,24 +98,6 @@ def test_reconstruct_from_exact_frequencies():
     table = setting_probability_table(rho, 2)
     values, _ = correlations_from_frequencies(table, 2)
     np.testing.assert_allclose(reconstruct_from_values(values, 2), rho, atol=1e-10)
-
-
-def test_spectrum_contract():
-    spec = spectrum_of(np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex))
-    assert isinstance(spec, Spectrum)
-    assert spec.eigenvalues.tolist() == [-0.25, 0.25, 0.5, 0.5]
-    assert spec.min == -0.25 and spec.max == 0.5
-    with pytest.raises(ValueError):
-        Spectrum(eigenvalues=np.array([0.4, 0.5]), trace=1.0)  # sum != trace
-    with pytest.raises(ValueError):
-        Spectrum(eigenvalues=np.array([0.5, 0.4, 0.1]), trace=1.0)  # not sorted
-    with pytest.raises(ValueError):
-        spectrum_of(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-
-
-def test_spectrum_of_white_noise_is_flat():
-    spec = spectrum_of(np.eye(8, dtype=complex) / 8)
-    np.testing.assert_allclose(spec.eigenvalues, 0.125, atol=1e-14)
 
 
 def test_complete_frame_single_qubit_block():

@@ -1,7 +1,6 @@
 """Anderson-Darling machinery and semicircle rank estimation."""
 
 import math
-import types
 import warnings
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from tomospectra.ensemble import ExperimentConfig, SpectrumEnsemble
 from tomospectra.gof import (
     NoAcceptedRankError,
     RankTestReport,
@@ -19,9 +19,10 @@ from tomospectra.gof import (
     estimate_rank,
     reconstruct_physical_estimate,
     sup_cdf_distance,
-    unphysical_fraction,
 )
 from tomospectra.models import SemicircleModel, semicircle_radius
+from tomospectra.pauli import StateSpec
+from tomospectra.sampling import MULTINOMIAL, CountModel
 
 # Critical values of the asymptotic A^2 null, frozen from two independent
 # evaluations of the distribution (the classical series and a numerical
@@ -351,14 +352,10 @@ def test_unphysical_fraction_counting():
             [0.0, 0.1, 0.4, 0.5],  # exact zero is still physical
         ]
     )
-    assert unphysical_fraction(rows) == pytest.approx(1.0 / 3.0)
-    assert unphysical_fraction(rows[0]) == 0.0
-    assert unphysical_fraction(rows[1]) == 1.0
-    # duck-typed ensemble-like objects expose .spectra
-    fake = types.SimpleNamespace(spectra=rows)
-    assert unphysical_fraction(fake) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError):
-        unphysical_fraction(np.empty((0, 4)))
+    config = ExperimentConfig.overcomplete(
+        StateSpec(kind="white_noise", n=2), CountModel(MULTINOMIAL, 100), replicas=3)
+    ensemble = SpectrumEnsemble(config=config, spectra=rows)
+    assert ensemble.unphysical_fraction() == pytest.approx(1.0 / 3.0)
 
 
 # --- sup-CDF distance -----------------------------------------------------------

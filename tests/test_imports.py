@@ -6,8 +6,11 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -101,24 +104,43 @@ a2_cdf = ts.a2_null_cdf(2.0)
 after_rank_test = heavy_modules()
 
 laplace = ts.laplace_model(3, 1e5)
+single_qubit_cdf = ts.single_qubit_density(100).cdf(0.5)
+after_models = heavy_modules()
+
+with tempfile.TemporaryDirectory() as tmp:
+    one, three = tmp + "/one", tmp + "/three"
+    exit_codes = [tomospectra.cli.main(argv) for argv in (
+        ["predict", "--qubits", "3", "--counts", "100"],
+        ["min-counts", "--qubits", "6", "--q", "0.8"],
+        ["simulate", "--qubits", "1", "--counts", "100", "--reps", "20",
+         "--threads", "1", "--out", one],
+        ["analyze", "--in", one],
+        ["simulate", "--qubits", "3", "--state", "ghz", "--q", "0.6", "--counts", "200",
+         "--reps", "2", "--threads", "1", "--out", three],
+        ["rank-test", "--in", three],
+    )]
+after_cli = heavy_modules()
+
 print(json.dumps({
     "after_import": after_import,
     "after_rank_test": after_rank_test,
+    "after_models": after_models,
+    "after_cli": after_cli,
+    "exit_codes": exit_codes,
     "row": loaded.spectra[0].tolist(),
     "rank_report": rank_report,
     "a2_cdf": a2_cdf,
-    "single_qubit_cdf": ts.single_qubit_density(100).cdf(0.5),
+    "single_qubit_cdf": single_qubit_cdf,
     "laplace": [laplace.center, laplace.alpha],
 }))
 """
 
 
 def test_import_loads_no_scipy():
-    """A fresh import, a one-worker run and a rank test leave SciPy unloaded.
+    """A fresh import, a one-worker run, every model and every CLI command leave SciPy unloaded.
 
-    Importing SciPy is most of a fresh process's start-up, and only the
-    one-qubit law needs it, so it imports SciPy on first use; that call
-    comes last, to check that the lazy import resolves.  The pytest
+    SciPy is a test-only dependency: the package itself, the one-qubit law
+    included, runs on NumPy, click and the standard library.  The pytest
     process has SciPy loaded already, hence the subprocess.
     """
     from tomospectra import (a2_null_cdf, estimate_rank, laplace_model,
@@ -131,9 +153,44 @@ def test_import_loads_no_scipy():
     cold = json.loads(out.stdout.splitlines()[-1])
     assert cold["after_import"] == []
     assert cold["after_rank_test"] == []
+    assert cold["after_models"] == []
+    assert cold["after_cli"] == []
+    assert cold["exit_codes"] == [0] * 6
     # the cold process gives the in-process values, and the lazy import resolves
     assert cold["rank_report"] == estimate_rank(cold["row"], 3, 200).to_json()
     assert cold["a2_cdf"] == a2_null_cdf(2.0)
     assert cold["single_qubit_cdf"] == single_qubit_density(100).cdf(0.5)
     laplace = laplace_model(3, 1e5)
     assert cold["laplace"] == [laplace.center, laplace.alpha]
+
+
+def third_party_imports(package):
+    """Top-level modules outside the standard library imported anywhere under ``package``.
+
+    ``ast.walk`` reaches imports inside functions too, so a lazy import counts.
+    """
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"tomospectra"}
+
+
+def requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+            for req in requirements}
+
+
+def test_imports_match_the_declared_dependencies():
+    """The package imports exactly its run-time dependencies, and SciPy is test-only."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = requirement_names(project["dependencies"])
+    assert third_party_imports(ROOT / "src" / "tomospectra") == runtime
+    extras = {name: requirement_names(reqs)
+              for name, reqs in project["optional-dependencies"].items()}
+    assert "scipy" not in runtime
+    assert [name for name, reqs in extras.items() if "scipy" in reqs] == ["test"]

@@ -16,7 +16,6 @@ from tomospectra.models import (
     min_counts,
     physicality_probability,
     semicircle_center,
-    semicircle_moment,
     semicircle_radius,
     single_qubit_density,
 )
@@ -123,13 +122,13 @@ def test_catalan_numbers():
 def test_central_moments_closed_form_and_quadrature():
     model = SemicircleModel(center=0.03, radius=0.2)
     half = model.radius / 2.0
-    assert semicircle_moment(model, 2) == pytest.approx(half**2, rel=1e-15)
-    assert semicircle_moment(model, 4) == pytest.approx(2 * half**4, rel=1e-15)
-    assert semicircle_moment(model, 6) == pytest.approx(5 * half**6, rel=1e-15)
-    assert semicircle_moment(model, 3) == 0.0
-    assert semicircle_moment(model, 5) == 0.0
+    assert model.central_moment(2) == pytest.approx(half**2, rel=1e-15)
+    assert model.central_moment(4) == pytest.approx(2 * half**4, rel=1e-15)
+    assert model.central_moment(6) == pytest.approx(5 * half**6, rel=1e-15)
+    assert model.central_moment(3) == 0.0
+    assert model.central_moment(5) == 0.0
     with pytest.raises(ValueError):
-        semicircle_moment(model, 0)
+        model.central_moment(0)
     # quadrature cross-check of the closed forms (the sqrt edges cap the
     # achievable accuracy around 1e-6 relative; plenty to catch a wrong
     # Catalan coefficient)
@@ -138,17 +137,16 @@ def test_central_moments_closed_form_and_quadrature():
         val, _ = integrate.quad(
             lambda x, k=k: (x - model.center) ** k * model.pdf(x), lo, hi, limit=200
         )
-        assert semicircle_moment(model, k) == pytest.approx(val, rel=1e-5)
-    assert model.central_moment(2) == semicircle_moment(model, 2)
+        assert model.central_moment(k) == pytest.approx(val, rel=1e-5)
 
 
 def test_moment_ratios_are_radius_free():
     # m4/m2**2 = 2 and m6/m2**3 = 5 regardless of the scale
     for radius in (0.01, 0.35, 2.0):
         m = SemicircleModel(center=0.0, radius=radius)
-        m2 = semicircle_moment(m, 2)
-        assert semicircle_moment(m, 4) / m2**2 == pytest.approx(2.0, rel=1e-12)
-        assert semicircle_moment(m, 6) / m2**3 == pytest.approx(5.0, rel=1e-12)
+        m2 = m.central_moment(2)
+        assert m.central_moment(4) / m2**2 == pytest.approx(2.0, rel=1e-12)
+        assert m.central_moment(6) / m2**3 == pytest.approx(5.0, rel=1e-12)
 
 
 # --- count thresholds ---------------------------------------------------------
@@ -269,10 +267,16 @@ def test_laplace_validation():
 
 
 def test_single_qubit_normalization_closed_form():
-    model = single_qubit_density(100)
-    assert isinstance(model, SingleQubitModel)
-    closed = math.sqrt(2.0 / math.pi) * 100**1.5
-    assert model.normalization == pytest.approx(closed, rel=1e-7)
+    for counts in (1, 100, 1000):
+        model = single_qubit_density(counts)
+        assert isinstance(model, SingleQubitModel)
+        assert model.normalization == math.sqrt(2.0 / math.pi) * counts**1.5
+        # the closed form integrates the density to 1 (the mass beyond
+        # 0.5 +- 20/sqrt(N) is below e^-800)
+        half_width = 20.0 / math.sqrt(counts)
+        mass, _ = integrate.quad(model.pdf, 0.5 - half_width, 0.5 + half_width,
+                                 points=[0.5], epsabs=0, epsrel=1e-13, limit=200)
+        assert mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_qubit_pdf_cdf():

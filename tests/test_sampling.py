@@ -11,7 +11,6 @@ from tomospectra.sampling import (
     POISSON,
     CountModel,
     EmptySettingError,
-    philox_key,
     rekeyed,
     stream,
 )
@@ -30,11 +29,20 @@ def test_stream_is_pure_function_of_triple():
     np.testing.assert_array_equal(a, b)
 
 
+def _oracle_key(master, rep, setting):
+    """The documented key (master mod 2**64, replica * 2**32 + setting)."""
+    return (master % 2**64, rep * 2**32 + setting)
+
+
+def _key_of(rng):
+    return tuple(int(word) for word in rng.bit_generator.state["state"]["key"])
+
+
 def test_stream_is_the_philox_generator_of_the_key():
     for master, rep, setting in ((0, 0, 0), (42, 3, 17), (2**64 - 1, 2**32 - 1, 728)):
         ours = stream(master, rep, setting)
-        reference = np.random.Generator(
-            np.random.Philox(key=philox_key(master, rep, setting)))
+        key = np.array(_oracle_key(master, rep, setting), dtype=np.uint64)
+        reference = np.random.Generator(np.random.Philox(key=key))
         assert repr(ours.bit_generator.state) == repr(reference.bit_generator.state)
         np.testing.assert_array_equal(ours.multinomial(100, PROBS[0], size=3),
                                       reference.multinomial(100, PROBS[0], size=3))
@@ -79,29 +87,29 @@ def test_streams_differ_across_coordinates():
 
 
 def test_replica_setting_key_injective_in_range():
-    seen = {
-        tuple(philox_key(7, rep, s))
-        for rep in (0, 1, 2, 2**31)
-        for s in (0, 1, 728, 2**31)
-    }
+    seen = set()
+    for rep in (0, 1, 2, 2**31):
+        for s in (0, 1, 728, 2**31):
+            key = _key_of(stream(7, rep, s))
+            assert key == _oracle_key(7, rep, s)
+            seen.add(key)
     assert len(seen) == 16
 
 
 def test_key_bounds_enforced():
-    with pytest.raises(ValueError):
-        philox_key(1, -1, 0)
-    with pytest.raises(ValueError):
-        philox_key(1, 0, 2**32)
-    with pytest.raises(ValueError):
-        philox_key(1, 2**32, 0)
+    with pytest.raises(ValueError, match="replica index"):
+        stream(1, -1, 0)
+    with pytest.raises(ValueError, match="setting index"):
+        stream(1, 0, 2**32)
+    with pytest.raises(ValueError, match="replica index"):
+        stream(1, 2**32, 0)
     # master seeds only need to fit the 64-bit word (mod reduction documented)
-    philox_key(2**64 + 5, 0, 0)
+    assert _key_of(stream(2**64 + 5, 0, 0)) == (5, 0)
     # NumPy integer indices give the key of the equal Python ints
-    np.testing.assert_array_equal(
-        philox_key(np.uint64(2**64 - 1), np.int64(2**32 - 1), np.int64(5)),
-        philox_key(2**64 - 1, 2**32 - 1, 5))
+    assert (_key_of(stream(np.uint64(2**64 - 1), np.int64(2**32 - 1), np.int64(5)))
+            == _oracle_key(2**64 - 1, 2**32 - 1, 5))
     with pytest.raises(TypeError):
-        philox_key(1, 2.0, 0)
+        stream(1, 2.0, 0)
 
 
 def test_count_model_validation():
