@@ -1,11 +1,13 @@
 """Command-line surface: predictions, planning, simulation, analysis.
 
-Every subcommand validates its flags before doing work and emits either
-a human table (default) or machine JSON (``--format json``).  Machine
+The library validates; the CLI reports: a library check's ``ValueError``,
+raised before any work, becomes a usage error.  Every subcommand emits
+either a human table (default) or machine JSON (``--format json``).  Machine
 output carries full double precision; tables round to 6 significant
 digits.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -84,6 +86,15 @@ def _bad(message, hint):
     return click.BadParameter(message, param_hint=hint)
 
 
+@contextlib.contextmanager
+def _library_checks():
+    """Report a library ``ValueError`` raised in the block as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="tomospectra")
 def cli():
@@ -105,29 +116,22 @@ def cli():
 @_format_option
 def predict(qubits, counts, q, rank, fmt):
     """Predict the noise-bulk semicircle for given n, N, q, r."""
-    if not 1 <= qubits <= models.MAX_QUBITS_ANALYTIC:
-        raise _bad("must lie in 1..%d" % models.MAX_QUBITS_ANALYTIC, "--qubits")
-    if counts < 1:
-        raise _bad("must be a positive event count", "--counts")
-    if not 0.0 <= q < 1.0:
-        raise _bad("must lie in [0, 1); the bulk vanishes at q=1", "--q")
     if rank is None:
         rank = 0 if q == 0.0 else 1
-    if not 0 <= rank < 2**qubits:
-        raise _bad("must lie in 0..2^n-1", "--rank")
-    model = models.SemicircleModel.for_state(qubits, counts, q, rank)
-    doc = {
-        "qubits": qubits,
-        "counts": counts,
-        "signal_weight": q,
-        "rank": rank,
-        "center": model.center,
-        "radius": model.radius,
-        "width": 2.0 * model.radius,
-        "physicality_probability": models.physicality_probability(model, qubits),
-    }
-    if q > 0:
-        doc["min_counts"] = models.min_counts(qubits, q)
+    with _library_checks():
+        model = models.SemicircleModel.for_state(qubits, counts, q, rank)
+        doc = {
+            "qubits": qubits,
+            "counts": counts,
+            "signal_weight": q,
+            "rank": rank,
+            "center": model.center,
+            "radius": model.radius,
+            "width": 2.0 * model.radius,
+            "physicality_probability": models.physicality_probability(model, qubits),
+        }
+        if q > 0:
+            doc["min_counts"] = models.min_counts(qubits, q)
     _emit(doc, fmt)
 
 
@@ -138,12 +142,8 @@ def predict(qubits, counts, q, rank, fmt):
 @_format_option
 def min_counts_cmd(qubits, q, fmt):
     """Smallest per-setting N keeping the whole noise bulk positive."""
-    if not 1 <= qubits <= models.MAX_QUBITS_ANALYTIC:
-        raise _bad("must lie in 1..%d" % models.MAX_QUBITS_ANALYTIC, "--qubits")
-    if not 0.0 <= q < 1.0:
-        raise _bad("must lie in [0, 1): the required count diverges as q -> 1",
-                   "--q")
-    value = models.min_counts(qubits, q)
+    with _library_checks():
+        value = models.min_counts(qubits, q)
     if fmt == "table":
         click.echo(str(value))
     else:
@@ -153,18 +153,6 @@ def min_counts_cmd(qubits, q, fmt):
 # ---------------------------------------------------------------------------
 # simulate: Monte-Carlo ensembles on disk
 # ---------------------------------------------------------------------------
-
-
-def _build_state_spec(qubits, state, q, state_rank, excitations, state_seed):
-    kind = _STATE_ALIASES.get(state.lower().strip())
-    if kind is None:
-        raise _bad("unknown state %r (use wn, pure, rank, ghz or dicke)" % state,
-                   "--state")
-    try:
-        return StateSpec(kind=kind, n=qubits, q=q, r=state_rank, k=excitations,
-                         seed=state_seed)
-    except ValueError as exc:
-        raise click.UsageError("invalid state: %s" % exc)
 
 
 @cli.command()
@@ -199,36 +187,20 @@ def _build_state_spec(qubits, state, q, state_rank, excitations, state_seed):
 def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
              counts, count_mode, total_counts, reps, seed, threads, out, fmt):
     """Run repeated tomography simulations and store the spectra."""
-    if reps < 1:
-        raise _bad("must be a positive replica count", "--reps")
-    if seed < 0:
-        raise _bad("must be nonnegative", "--seed")
-    try:  # --threads, or else $TOMOSPECTRA_THREADS, by the runner's own rule
+    kind = _STATE_ALIASES.get(state.lower().strip())
+    if kind is None:
+        raise _bad("unknown state %r (use wn, pure, rank, ghz or dicke)" % state,
+                   "--state")
+    with _library_checks():
+        # --threads, or else $TOMOSPECTRA_THREADS, by the runner's own rule
         workers = _resolve_workers(threads)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    spec = _build_state_spec(qubits, state, q, state_rank, excitations, state_seed)
-    if scheme == OVERCOMPLETE:
-        if counts is None:
-            raise _bad("required for the overcomplete scheme", "--counts")
-        if total_counts is not None:
-            raise _bad("applies to the complete scheme only", "--total-counts")
-        try:
-            config = ExperimentConfig.overcomplete(
-                spec, CountModel(mode=count_mode, events_per_setting=counts),
-                replicas=reps, master_seed=seed)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    else:
-        if total_counts is None:
-            raise _bad("required for the complete scheme", "--total-counts")
-        if counts is not None:
-            raise _bad("applies to the overcomplete scheme only", "--counts")
-        try:
-            config = ExperimentConfig.complete(
-                spec, total_counts, replicas=reps, master_seed=seed)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        config = ExperimentConfig(
+            state=StateSpec(kind=kind, n=qubits, q=q, r=state_rank, k=excitations,
+                            seed=state_seed),
+            scheme=scheme,
+            count_model=None if counts is None else CountModel(
+                mode=count_mode, events_per_setting=counts),
+            total_counts=total_counts, replicas=reps, master_seed=seed)
 
     started = time.time()
     with click.progressbar(length=reps, label="replicas", file=sys.stderr) as bar:
@@ -372,16 +344,10 @@ def rank_test(eig_file, in_dir, replica, counts, qubits, significance,
     if (eig_file is None) == (in_dir is None):
         raise click.UsageError(
             "exactly one input is required: --eigenvalues or --in")
-    if not 0.0 < significance < 1.0:
-        raise _bad("must lie strictly between 0 and 1", "--significance")
 
     if eig_file is not None:
         eigs = _read_eigenvalue_file(eig_file)
-        n = qubits if qubits is not None else max(eigs.size.bit_length() - 1, 0)
-        if eigs.size != 2**n:
-            raise _bad("file holds %d eigenvalues, expected 2^n%s"
-                       % (eigs.size, " = %d" % 2**n if qubits is not None else ""),
-                       "--eigenvalues")
+        n = max(eigs.size.bit_length() - 1, 0)
         if counts is None:
             raise _bad("required with --eigenvalues: the noise radius scales "
                        "with the per-setting events", "--counts")
@@ -392,8 +358,6 @@ def rank_test(eig_file, in_dir, replica, counts, qubits, significance,
             raise _bad("must lie in 0..%d" % (ensemble.replicas - 1), "--replica")
         eigs = ensemble.spectra[replica]
         n = ensemble.n
-        if qubits is not None and qubits != n:
-            raise _bad("ensemble holds %d-qubit spectra" % n, "--qubits")
         if counts is None:
             if ensemble.config.scheme != OVERCOMPLETE:
                 raise _bad(
@@ -401,12 +365,12 @@ def rank_test(eig_file, in_dir, replica, counts, qubits, significance,
                     "calibrated by per-setting events", "--counts")
             counts = ensemble.config.count_model.events_per_setting
         source = "%s:replica=%d" % (in_dir, replica)
+    if qubits is not None:  # estimate_rank checks it against the 2^n eigenvalues
+        n = qubits
 
-    try:
+    with _library_checks():
         report = estimate_rank(eigs, n, counts, significance=significance,
                                max_rank=max_rank)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
     doc = report.to_json()
     doc["qubits"] = n

@@ -44,7 +44,7 @@ from .estimation import (
     reconstruct_from_values,
     setting_probability_table,
 )
-from .pauli import StateSpec, _integer, _real, build_state, correlation_tensor_values
+from .pauli import StateSpec, _integer, _known_keys, _real, build_state, correlation_tensor_values
 from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekeyed, stream
 
 OVERCOMPLETE = "overcomplete"
@@ -126,6 +126,8 @@ class ExperimentConfig:
         else:
             if self.count_model is not None:
                 raise ValueError("count_model applies to the overcomplete scheme only")
+            if self.total_counts is None:
+                raise ValueError("complete scheme requires total_counts")
             counts = _real("total_counts", self.total_counts)
             if not counts > 0:
                 raise ValueError("complete scheme requires positive total_counts")
@@ -167,20 +169,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc):
-        state = StateSpec.from_json(doc["state"])
-        scheme = doc["scheme"]
-        count_model = None
-        total_counts = None
-        if scheme == OVERCOMPLETE:
-            cm = doc["count_model"]
-            count_model = CountModel(mode=cm["mode"],
-                                     events_per_setting=cm["events_per_setting"])
-        else:
-            total_counts = doc["total_counts"]
-        # fields are passed on uncast, so 3.9 replicas or "1e5" counts are rejected
-        return cls(state=state, scheme=scheme, count_model=count_model,
-                   total_counts=total_counts, replicas=doc["replicas"],
-                   master_seed=doc["master_seed"])
+        _known_keys("config", doc, [f.name for f in dataclasses.fields(cls)])
+        count_model = doc.get("count_model")
+        if count_model is not None:
+            _known_keys("count_model", count_model, ("mode", "events_per_setting"))
+            count_model = CountModel(mode=count_model["mode"],
+                                     events_per_setting=count_model["events_per_setting"])
+        # fields are passed on uncast, so 3.9 replicas or "1e5" counts are rejected,
+        # and the scheme decides which of count_model and total_counts may be given
+        return cls(state=StateSpec.from_json(doc["state"]), scheme=doc["scheme"],
+                   count_model=count_model, total_counts=doc.get("total_counts"),
+                   replicas=doc["replicas"], master_seed=doc["master_seed"])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -475,9 +474,10 @@ def load_ensemble(path):
         raise SchemaVersionError("schema version %r not supported (expected %d)"
                                  % (meta["schema_version"], SCHEMA_VERSION))
     try:
+        _known_keys("top-level", meta, ("schema_version", "code_version", "config"))
         config = ExperimentConfig.from_json(meta["config"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedEnsembleError("bad config block: %s" % exc)
+        raise MalformedEnsembleError("bad %s: %s" % (CONFIG_FILE, exc))
 
     try:
         with open(os.path.join(path, SPECTRA_FILE), "rb") as fh:

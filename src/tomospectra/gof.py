@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import SemicircleModel, semicircle_radius
+from .pauli import _integer
 
 _CLAMP = 1e-15
 
@@ -234,7 +235,7 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
         with p_eff >= significance and a positive center, or None.
     """
     eigs = np.sort(np.asarray(spectrum, dtype=float))
-    n = int(n)
+    n = _integer("qubit number", n)
     dim = 2**n
     if eigs.size != dim:
         raise ValueError("expected %d eigenvalues, got %d" % (dim, eigs.size))
@@ -247,7 +248,7 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
         raise ValueError("rank testing needs at least 5 eigenvalues (n >= 3)")
     if max_rank is None:
         max_rank = min(hard_cap, 10)
-    max_rank = int(max_rank)
+    max_rank = _integer("max_rank", max_rank)
     if not 0 <= max_rank <= hard_cap:
         raise ValueError("max_rank must lie in 0..%d" % hard_cap)
 

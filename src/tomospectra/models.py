@@ -24,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import _integer
+
 MAX_QUBITS_ANALYTIC = 10
 
 
 def _check_n(n):
-    n = int(n)
+    n = _integer("qubit number", n)
     if not 1 <= n <= MAX_QUBITS_ANALYTIC:
         raise ValueError("qubit number must be in 1..%d" % MAX_QUBITS_ANALYTIC)
     return n
@@ -107,7 +109,7 @@ class SemicircleModel:
 
     def central_moment(self, k):
         """k-th central moment: 0 for odd k, else C_{k/2} (R/2)**k."""
-        k = int(k)
+        k = _integer("moment order", k)
         if k < 1:
             raise ValueError("moment order must be >= 1")
         if k % 2:
@@ -122,7 +124,7 @@ def catalan(k):
     at every step.  Python integers are unbounded, so no overflow occurs
     at any k.
     """
-    k = int(k)
+    k = _integer("k", k)
     if k < 0:
         raise ValueError("k must be >= 0")
     c = 1
@@ -255,7 +257,7 @@ class SingleQubitModel:
 
 def single_qubit_density(counts):
     """Build the exact single-qubit eigenvalue model for N events per setting."""
-    counts = int(counts)
+    counts = _integer("counts", counts)
     if counts < 1:
         raise ValueError("counts must be >= 1")
     return SingleQubitModel(counts=counts, normalization=math.sqrt(2.0 / math.pi) * counts**1.5)

@@ -117,6 +117,15 @@ def _real(name, value):
     return float(value)
 
 
+def _known_keys(block, doc, known):
+    """Reject a ``doc`` that is not a JSON object or has a key outside ``known``."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be a JSON object, got %r" % (block, doc))
+    extra = set(doc) - set(known)
+    if extra:
+        raise ValueError("unknown %s keys %r" % (block, sorted(extra)))
+
+
 def check_density_matrix(rho, n=None):
     """Validate the density-matrix contract (Hermitian, trace 1, 2**n dim).
 
@@ -179,6 +188,8 @@ class StateSpec:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.n <= MAX_QUBITS_DENSE:
             raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
+        if not 0 <= self.seed < 2**64:  # it becomes a 64-bit Philox key word
+            raise ValueError("seed must lie in 0..2**64 - 1")
         object.__setattr__(self, "q", _real("signal weight q", self.q))
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("signal weight q must lie in [0, 1]")
@@ -205,10 +216,8 @@ class StateSpec:
 
     @classmethod
     def from_json(cls, doc):
-        known = {"kind", "n", "q", "r", "k", "seed"}
-        extra = set(doc) - known
-        if extra:
-            raise ValueError("unknown state keys %r" % sorted(extra))
+        known = ("kind", "n", "q", "r", "k", "seed")
+        _known_keys("state", doc, known)
         return cls(**{k: doc[k] for k in known if k in doc})
 
 

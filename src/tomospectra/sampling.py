@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .pauli import _integer
 
@@ -55,30 +54,10 @@ def _key_words(master_seed, replica_index, setting_index):
     return master & _MASK64, replica * _SHIFT + setting
 
 
-class _FixedKey(ISeedSequence):
-    """A seed sequence whose only state is a given 128-bit Philox key.
-
-    ``np.random.Philox(key=k)`` still seeds a throw-away ``SeedSequence``
-    from OS entropy, which is about two thirds of its construction cost.
-    Seeding with ``_FixedKey(k)`` instead yields the same generator
-    (key ``k``, counter 0, empty buffer) at a third of the cost.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or dtype is not np.uint64:
-            raise ValueError("a Philox key is two 64-bit words")
-        return self.key
-
-
 def stream(master_seed, replica_index=0, setting_index=0):
     """The dedicated random generator of one (master, replica, setting)."""
     key = np.array(_key_words(master_seed, replica_index, setting_index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_FixedKey(key)))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # a fresh Philox: counter 0 and an empty output buffer (the state setter

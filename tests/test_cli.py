@@ -77,6 +77,9 @@ def test_predict_table_output(capsys):
         ("min-counts", "--qubits", "3"),
         (),
         ("no-such-command",),
+        ("predict", "--qubits", "3", "--counts", "100", "--q", "-0.2"),
+        ("min-counts", "--qubits", "11", "--q", "0.5"),
+        ("min-counts", "--qubits", "3", "--q", "-0.5"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -156,6 +159,13 @@ SIMULATE_USAGE_ERRORS = [
     (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--threads", "0",
       "--out", "x"), None),
     (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--out", "x"), "abc"),
+    # a state seed outside the 64-bit Philox key word, caught before the run starts
+    (("simulate", "--qubits", "2", "--state", "pure", "--q", "0.5", "--state-seed", "-1",
+      "--counts", "50", "--reps", "2", "--out", "x"), None),
+    (("simulate", "--qubits", "2", "--counts", "50", "--reps", "2", "--seed", "-1",
+      "--out", "x"), None),
+    (("simulate", "--qubits", "2", "--scheme", "complete", "--total-counts", "0",
+      "--reps", "2", "--out", "x"), None),
 ]
 
 
@@ -367,6 +377,10 @@ def test_rank_test_usage_errors(tmp_path, capsys):
         ("rank-test", "--in", str(ens_dir), "--significance", "1.0"),
         # qubit override contradicting the ensemble
         ("rank-test", "--in", str(ens_dir), "--qubits", "2"),
+        # qubit override contradicting the file's 8 eigenvalues
+        ("rank-test", "--eigenvalues", str(eig_path), "--counts", "3000", "--qubits", "4"),
+        # no events per setting
+        ("rank-test", "--eigenvalues", str(eig_path), "--counts", "0"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

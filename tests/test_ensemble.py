@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -31,6 +32,7 @@ from tomospectra.ensemble import (
 )
 from tomospectra.pauli import StateSpec
 from tomospectra.sampling import MULTINOMIAL, POISSON, CountModel
+from tomospectra.schemas import load_schema
 
 
 def small_config(reps=8, seed=123, n=2, events=200):
@@ -60,6 +62,8 @@ def test_config_scheme_compatibility():
         ExperimentConfig(state=state, scheme="diagonal", count_model=model)
     with pytest.raises(ValueError):
         ExperimentConfig(state=state, scheme="complete", total_counts=-5.0)
+    with pytest.raises(ValueError, match="complete scheme requires total_counts"):
+        ExperimentConfig(state=state, scheme="complete")
     with pytest.raises(ValueError):
         small_config(reps=0)
     with pytest.raises(ValueError):
@@ -463,6 +467,36 @@ def test_load_rejects_non_integral_config_numbers(tmp_path, path, value):
     (out / CONFIG_FILE).write_text(json.dumps(meta))
     with pytest.raises(MalformedEnsembleError, match=path[-1].replace("_", "[_ ]")):
         load_ensemble(str(out))
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "extra"),
+    (("config",), "replcas"),
+    (("config", "count_model"), "evnts"),
+], ids=["top-level", "config", "count_model"])
+def test_load_rejects_unknown_keys(tmp_path, path, key):
+    """config.json holds to its schema's ``additionalProperties: false`` at every level."""
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    block = meta
+    for name in path:
+        block = block[name]
+    block[key] = 7
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(MalformedEnsembleError, match="unknown .* keys .*%s" % key):
+        load_ensemble(str(out))
+
+
+@pytest.mark.parametrize("config", [
+    small_config(reps=2),
+    ExperimentConfig.complete(StateSpec(kind="pure_plus_noise", n=2, q=0.5, seed=3),
+                              1e4, replicas=2, master_seed=4),
+], ids=["overcomplete", "complete"])
+def test_saved_config_matches_the_shipped_schema(tmp_path, config):
+    save_ensemble(run_ensemble(config), str(tmp_path))
+    meta = json.loads((tmp_path / CONFIG_FILE).read_text())
+    jsonschema.validate(meta, load_schema("ensemble_config"))
 
 
 @pytest.mark.parametrize("kind, key, value", [

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from tomospectra.ensemble import ExperimentConfig, run_ensemble
+from tomospectra.gof import estimate_rank
 from tomospectra.models import (
     LaplaceModel,
     SemicircleModel,
@@ -73,6 +74,28 @@ def test_parameter_validation():
         semicircle_radius(2, 0)
     with pytest.raises(ValueError):
         SemicircleModel(center=0.1, radius=0.0)
+
+
+_FLAT8 = np.full(8, 0.125)
+
+
+@pytest.mark.parametrize("call, value", [
+    (single_qubit_density, 100),
+    (lambda n: semicircle_radius(n, 100), 3),
+    (lambda n: laplace_model(n, 1e4), 2),
+    (lambda n: min_counts(n, 0.5), 1),
+    (catalan, 2),
+    (SemicircleModel(center=0.1, radius=0.2).central_moment, 4),
+    (lambda n: estimate_rank(_FLAT8, n, 100), 3),
+    (lambda r: estimate_rank(_FLAT8, 3, 100, max_rank=r), 1),
+], ids=["counts", "n", "laplace-n", "min-counts-n", "catalan-k", "moment-k",
+        "rank-n", "max-rank"])
+def test_integer_arguments_reject_floats_and_bools(call, value):
+    """int() would run 3.7 qubits as 3 and True as 1; NumPy integers are integers."""
+    for bad in (value + 0.7, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    call(np.int64(value))
 
 
 # --- the semicircle law itself ----------------------------------------------

@@ -182,6 +182,15 @@ class TestStateSpec:
         assert spec == StateSpec(kind="rank_r_plus_noise", n=2, q=0.5, r=2, seed=3)
         assert all(type(v) is int for v in (spec.n, spec.r, spec.k, spec.seed))
 
+    def test_seed_must_fit_a_philox_key_word(self):
+        for kind in ("white_noise", "pure_plus_noise", "rank_r_plus_noise"):
+            for seed in (-1, 2**64):
+                with pytest.raises(ValueError, match="seed must lie in"):
+                    StateSpec(kind=kind, n=2, q=0.0 if kind == "white_noise" else 0.5,
+                              seed=seed)
+        spec = StateSpec(kind="pure_plus_noise", n=2, q=0.5, seed=2**64 - 1)
+        assert build_state(spec).shape == (4, 4)
+
     def test_signal_weight_must_be_a_real_number(self):
         for value in (True, False, "0.5", None, 0.5j):
             with pytest.raises(ValueError, match="q must be a number"):
