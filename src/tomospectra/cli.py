@@ -237,13 +237,14 @@ def _overlay_model(config):
         model = models.single_qubit_density(counts)
         return model, {"family": "single_qubit", "counts": counts,
                        "normalization": model.normalization}
-    if state.kind == "white_noise":
-        q, r = 0.0, 0
+    # a state with no signal weight is white noise whatever its kind, as in `predict`
+    if state.q == 0:
+        r = 0
     elif state.kind == "rank_r_plus_noise":
-        q, r = state.q, state.r
+        r = state.r
     else:
-        q, r = state.q, 1
-    model = models.SemicircleModel.for_state(n, counts, q, r)
+        r = 1
+    model = models.SemicircleModel.for_state(n, counts, state.q, r)
     return model, {"family": "semicircle", "center": model.center,
                    "radius": model.radius, "width": 2.0 * model.radius}
 

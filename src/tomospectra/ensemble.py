@@ -27,6 +27,7 @@ Loading verifies the checksum and re-validates the spectrum invariants,
 with a distinct error type per failure mode.
 """
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -256,9 +257,10 @@ class SpectrumEnsemble:
 
 
 #: at most this many frequency-table entries (3**n x 2**n per replica) in
-#: one stack of replicas: the stacked back end drops per-replica call
-#: overhead at small n, and the cap keeps a stack of n=6 tables (one
-#: replica there) from growing the run's peak memory
+#: one stack of replicas, the runner's unit of work, progress report and
+#: failure count: the stacked back end drops per-replica call overhead at
+#: small n, and the cap keeps a stack of n=6 tables (one replica there)
+#: from growing the run's peak memory
 _STACK_ENTRIES = 2**16
 
 
@@ -351,11 +353,9 @@ def replica_estimator(config):
     return functools.partial(_overcomplete_estimate, probs, config.count_model, seed, n)
 
 
-def _block_rows(estimate, start, stop, stack):
-    """The spectra rows of replicas [start, stop), ``stack`` replicas per estimate call."""
-    return np.concatenate([
-        np.linalg.eigvalsh(estimate(range(a, min(a + stack, stop))))
-        for a in range(start, stop, stack)])
+def _stack_spectra(estimate, replicas):
+    """The sorted spectra of a stack of replicas, one row per replica."""
+    return np.linalg.eigvalsh(estimate(replicas))
 
 
 def _resolve_workers(workers):
@@ -381,7 +381,7 @@ def run_ensemble(config, workers=None, progress=None):
     ``THREADS_ENV`` and falls back to 1 (in-process).  Because every
     (replica, setting) pair has its own seed stream, the result is
     identical for any worker count.  ``progress``, if given, is called
-    as ``progress(done, total)`` after each completed batch.
+    as ``progress(done, total)`` after each stack.
 
     Raises ``EnsembleRunError`` carrying the number of cleanly finished
     replicas if any replica fails partway.
@@ -389,32 +389,27 @@ def run_ensemble(config, workers=None, progress=None):
     workers = _resolve_workers(workers)
     total = config.replicas
     rows = np.empty((total, 2 ** config.state.n))
+    size = max(1, _STACK_ENTRIES // 6**config.state.n)
+    stacks = [range(a, min(a + size, total)) for a in range(0, total, size)]
     completed = 0
-    # batches keep progress callbacks cheap and bound per-task pickling
-    batch = max(1, min(1024, math.ceil(total / (4 * workers))))
-    edges = [(a, min(a + batch, total)) for a in range(0, total, batch)]
     try:
-        estimate = replica_estimator(config)
-        stack = max(1, _STACK_ENTRIES // 6**config.state.n)
-        if workers == 1:
-            for a, b in edges:
-                rows[a:b] = _block_rows(estimate, a, b, stack)
-                completed += b - a
+        spectra = functools.partial(_stack_spectra, replica_estimator(config))
+        with contextlib.ExitStack() as scope:
+            if workers == 1:
+                blocks = map(spectra, stacks)
+            else:
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = scope.enter_context(ProcessPoolExecutor(max_workers=workers))
+                # each task pickles the estimator, table included: about
+                # four tasks per worker, not one per stack
+                blocks = pool.map(spectra, stacks,
+                                  chunksize=math.ceil(len(stacks) / (4 * workers)))
+            for stack, block in zip(stacks, blocks):
+                rows[stack.start:stack.stop] = block
+                completed = stack.stop
                 if progress is not None:
                     progress(completed, total)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_block_rows, estimate, a, b, stack)
-                           for a, b in edges]
-                for (a, b), fut in zip(edges, futures):
-                    rows[a:b] = fut.result()
-                    completed += b - a
-                    if progress is not None:
-                        progress(completed, total)
-    except EnsembleIOError:
-        raise
     except Exception as exc:
         raise EnsembleRunError(
             "ensemble aborted after %d of %d replicas: %s" % (completed, total, exc),

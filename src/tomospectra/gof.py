@@ -23,11 +23,11 @@ above z = 35 it is reported as 1, because 1 - P(A^2 <= z) is below
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import SemicircleModel, semicircle_radius
+from .models import SemicircleModel, _check_n, semicircle_radius
 from .pauli import _integer
 
 _CLAMP = 1e-15
@@ -195,19 +195,7 @@ class RankTestReport:
         return {
             "significance": self.significance,
             "chosen_rank": self.chosen_rank,
-            "candidates": [
-                {
-                    "rank": c.rank,
-                    "center": c.center,
-                    "radius": c.radius,
-                    "statistic": c.statistic,
-                    "p_value": c.p_value,
-                    "p_eff": c.p_eff,
-                    "in_support": c.in_support,
-                    "signal_count": c.signal_count,
-                }
-                for c in self.candidates
-            ],
+            "candidates": [asdict(c) for c in self.candidates],
         }
 
 
@@ -235,7 +223,7 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
         with p_eff >= significance and a positive center, or None.
     """
     eigs = np.sort(np.asarray(spectrum, dtype=float))
-    n = _integer("qubit number", n)
+    n = _check_n(n)
     dim = 2**n
     if eigs.size != dim:
         raise ValueError("expected %d eigenvalues, got %d" % (dim, eigs.size))

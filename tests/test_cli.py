@@ -231,24 +231,27 @@ def simulate_small(tmp_path, capsys, **kw):
 
 
 def test_analyze_semicircle_overlay(tmp_path, capsys):
-    ens_dir = simulate_small(tmp_path, capsys)
-    doc = run_json(capsys, "analyze", "--in", str(ens_dir), "--bins", "24")
-    validate(doc, "summary")
-    assert doc["model"]["family"] == "semicircle"
-    assert doc["model"]["radius"] == pytest.approx(
-        models.semicircle_radius(2, 80), rel=1e-12
-    )
-    assert 0.0 <= doc["sup_cdf_distance"] <= 1.0
-    hist = (ens_dir / HISTOGRAM_FILE).read_text().splitlines()
-    assert hist[0] == "bin_left,bin_right,count,density"
-    assert len(hist) == 25
-    counts = [int(line.split(",")[2]) for line in hist[1:]]
-    assert sum(counts) == 25 * 4  # every pooled eigenvalue lands in a bin
-    overlay = (ens_dir / OVERLAY_FILE).read_text().splitlines()
-    assert overlay[0] == "lambda,pdf,cdf"
-    assert len(overlay) == 514
-    stored = json.loads((ens_dir / SUMMARY_FILE).read_text())
-    assert stored == doc
+    # a signal state at q = 0 is white noise too: the rank-0 law, as in `predict`
+    for state in ("wn", "ghz"):
+        ens_dir = simulate_small(tmp_path / state, capsys, state=state)
+        doc = run_json(capsys, "analyze", "--in", str(ens_dir), "--bins", "24")
+        validate(doc, "summary")
+        assert doc["model"]["family"] == "semicircle"
+        assert doc["model"]["center"] == 0.25
+        assert doc["model"]["radius"] == pytest.approx(
+            models.semicircle_radius(2, 80), rel=1e-12
+        )
+        assert 0.0 <= doc["sup_cdf_distance"] <= 1.0
+        hist = (ens_dir / HISTOGRAM_FILE).read_text().splitlines()
+        assert hist[0] == "bin_left,bin_right,count,density"
+        assert len(hist) == 25
+        counts = [int(line.split(",")[2]) for line in hist[1:]]
+        assert sum(counts) == 25 * 4  # every pooled eigenvalue lands in a bin
+        overlay = (ens_dir / OVERLAY_FILE).read_text().splitlines()
+        assert overlay[0] == "lambda,pdf,cdf"
+        assert len(overlay) == 514
+        stored = json.loads((ens_dir / SUMMARY_FILE).read_text())
+        assert stored == doc
 
 
 def test_analyze_single_qubit_family(tmp_path, capsys):
@@ -381,6 +384,8 @@ def test_rank_test_usage_errors(tmp_path, capsys):
         ("rank-test", "--eigenvalues", str(eig_path), "--counts", "3000", "--qubits", "4"),
         # no events per setting
         ("rank-test", "--eigenvalues", str(eig_path), "--counts", "0"),
+        # a qubit number below 1
+        ("rank-test", "--eigenvalues", str(eig_path), "--counts", "100", "--qubits", "-1"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

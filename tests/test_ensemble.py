@@ -3,7 +3,6 @@
 import functools
 import hashlib
 import json
-import math
 import os
 import tempfile
 
@@ -109,7 +108,7 @@ def test_run_ensemble_deterministic_across_workers():
 
 
 def test_run_ensemble_builds_the_probability_table_once(monkeypatch):
-    """One table per run, however many batches; workers get it prebuilt."""
+    """One table per run, however many stacks; workers get it prebuilt."""
     import tomospectra.ensemble as ensemble_module
 
     calls = []
@@ -120,17 +119,19 @@ def test_run_ensemble_builds_the_probability_table_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(ensemble_module, "setting_probability_table", counted)
+    # stacks of 50 replicas at n=4: 50, 50 and 20
     cfg = ExperimentConfig.overcomplete(
-        StateSpec(kind="rank_r_plus_noise", n=3, q=0.6, r=2, seed=4),
+        StateSpec(kind="rank_r_plus_noise", n=4, q=0.6, r=2, seed=4),
         CountModel(mode=MULTINOMIAL, events_per_setting=150),
-        replicas=12, master_seed=31)
-    batches = []
-    seq = run_ensemble(cfg, workers=1, progress=lambda d, t: batches.append(d))
-    assert len(batches) >= 4
-    assert len(calls) == 1
-    par = run_ensemble(cfg, workers=2)
-    assert len(calls) == 2
-    assert par.spectra.tobytes() == seq.spectra.tobytes()
+        replicas=120, master_seed=31)
+    runs = {}
+    for workers in (1, 2):
+        stacks = []
+        runs[workers] = run_ensemble(cfg, workers=workers,
+                                     progress=lambda d, t: stacks.append(d))
+        assert stacks == [50, 100, 120]
+        assert len(calls) == workers
+    assert runs[2].spectra.tobytes() == runs[1].spectra.tobytes()
 
 
 def count_streams_and_draws(monkeypatch):
@@ -172,20 +173,12 @@ def count_streams_and_draws(monkeypatch):
 ])
 def test_one_stream_per_stack_and_one_draw_per_setting(monkeypatch, config, draws_per_replica):
     """A stack builds one generator; each (replica, setting) is one draw call."""
-    import tomospectra.ensemble as ensemble_module
-
     plain = run_ensemble(config, workers=1)
-    stacks = []
-    block_rows = ensemble_module._block_rows
-
-    def recorded(estimate, start, stop, stack):
-        stacks.append(math.ceil((stop - start) / stack))
-        return block_rows(estimate, start, stop, stack)
-
-    monkeypatch.setattr(ensemble_module, "_block_rows", recorded)
     streams, draws = count_streams_and_draws(monkeypatch)
-    counted = run_ensemble(config, workers=1)
-    assert len(streams) == sum(stacks)
+    stacks = []
+    counted = run_ensemble(config, workers=1, progress=lambda d, t: stacks.append(d))
+    assert len(stacks) == 2  # 1820 + 1180 replicas at n=2, one replica per stack at n=6
+    assert len(streams) == len(stacks)
     assert len(draws) == config.replicas * draws_per_replica
     assert counted.spectra.tobytes() == plain.spectra.tobytes()
 
@@ -299,6 +292,22 @@ def test_run_ensemble_failure_reports_completed():
         run_ensemble(cfg)
     assert 0 <= err.value.completed < 2000
     assert "replicas" in str(err.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_stack_counts_the_stacks_before_it(workers):
+    """``completed`` is every replica of the stacks before the first failing one."""
+    # stacks of 1820 replicas at n=2; at 9 expected events per setting,
+    # master seed 0 draws its first empty setting in the second stack
+    cfg = ExperimentConfig.overcomplete(
+        StateSpec(kind="white_noise", n=2),
+        CountModel(mode=POISSON, events_per_setting=9),
+        replicas=5000,
+        master_seed=0,
+    )
+    with pytest.raises(EnsembleRunError, match="replica 2777, setting 8") as err:
+        run_ensemble(cfg, workers=workers)
+    assert err.value.completed == 1820
 
 
 def test_complete_scheme_runs():

@@ -300,6 +300,9 @@ def test_estimate_rank_validation():
         estimate_rank(eigs, 3, 100, max_rank=4)  # noise band would drop below 5
     with pytest.raises(ValueError):
         estimate_rank(np.linspace(0.1, 0.4, 4), 2, 100)  # dim 4 < 5
+    for n in (-1, 0):  # checked before the eigenvalue count, which 2**n would misname
+        with pytest.raises(ValueError, match="qubit number"):
+            estimate_rank(eigs, n, 100)
 
 
 def test_estimate_rank_default_max_rank_cap():

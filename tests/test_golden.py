@@ -49,8 +49,8 @@ CASES = {
         "d05fbc4536cbd1428a3eb04bb27daa13b6a884a76a79a4d65bbbef389f08e4c0",
         1,
     ),
-    # 12 replicas over two workers make six batches, so this pins the
-    # multi-batch worker path (what each worker is sent and rebuilds).
+    # 12 replicas at n=4 are one stack, sent as one task to a two-worker
+    # pool: this pins what a worker is sent and rebuilds.
     # Re-taken for 0.2.0 (table as the estimator's forward map), whose
     # tied Dicke probabilities round differently: c063932f... before.
     "ovc4-dicke-workers2": (
@@ -70,8 +70,8 @@ CASES = {
         "a2a0f55a95cfe256189c9bd249776aae9f98150a1d902b1335077c102cb5bab1",
         1,
     ),
-    # n=2 is the hot workload; 4001 replicas make batches of 1001, 1001,
-    # 1001 and 998, so the run ends on a shorter stack than it starts with
+    # n=2 is the hot workload; 4001 replicas make stacks of 1820, 1820
+    # and 361, so the run ends on a shorter stack than it starts with
     "ovc2-wn-partial": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="white_noise", n=2),
@@ -89,6 +89,9 @@ CASES = {
         1,
     ),
 }
+# the same three stacks as three tasks over a two-worker pool: the
+# multi-task pool path, against the in-process digest
+CASES["ovc2-wn-partial-workers2"] = CASES["ovc2-wn-partial"][:2] + (2,)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
