@@ -257,10 +257,9 @@ class SpectrumEnsemble:
 
 
 #: at most this many frequency-table entries (3**n x 2**n per replica) in
-#: one stack of replicas, the runner's unit of work, progress report and
-#: failure count: the stacked back end drops per-replica call overhead at
-#: small n, and the cap keeps a stack of n=6 tables (one replica there)
-#: from growing the run's peak memory
+#: one stack of replicas, the runner's unit of work: the stacked back end
+#: drops per-replica call overhead at small n, and the cap keeps a stack
+#: of n=6 tables (one replica there) from growing the run's peak memory
 _STACK_ENTRIES = 2**16
 
 
@@ -381,10 +380,13 @@ def run_ensemble(config, workers=None, progress=None):
     ``THREADS_ENV`` and falls back to 1 (in-process).  Because every
     (replica, setting) pair has its own seed stream, the result is
     identical for any worker count.  ``progress``, if given, is called
-    as ``progress(done, total)`` after each stack.
+    as ``progress(done, total)`` after each stack.  Across workers a task
+    is a run of consecutive stacks, about four tasks per worker, so the
+    calls come in one burst per task.
 
-    Raises ``EnsembleRunError`` carrying the number of cleanly finished
-    replicas if any replica fails partway.
+    Raises ``EnsembleRunError`` if any replica fails partway, carrying
+    the number of replicas before the stack (in process) or the task
+    (across workers) that failed.
     """
     workers = _resolve_workers(workers)
     total = config.replicas
@@ -401,8 +403,10 @@ def run_ensemble(config, workers=None, progress=None):
                 from concurrent.futures import ProcessPoolExecutor
 
                 pool = scope.enter_context(ProcessPoolExecutor(max_workers=workers))
-                # each task pickles the estimator, table included: about
-                # four tasks per worker, not one per stack
+                # about four tasks per worker, each a run of consecutive
+                # stacks that pickles the estimator (table included) once:
+                # a task per stack costs the main process a future and
+                # about 160 us, and at n=6 a stack is one replica
                 blocks = pool.map(spectra, stacks,
                                   chunksize=math.ceil(len(stacks) / (4 * workers)))
             for stack, block in zip(stacks, blocks):

@@ -294,20 +294,30 @@ def test_run_ensemble_failure_reports_completed():
     assert "replicas" in str(err.value)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_failed_stack_counts_the_stacks_before_it(workers):
-    """``completed`` is every replica of the stacks before the first failing one."""
-    # stacks of 1820 replicas at n=2; at 9 expected events per setting,
-    # master seed 0 draws its first empty setting in the second stack
+@pytest.mark.parametrize("counts, replicas, master_seed, failure, workers, completed", [
+    # stacks of 1820 replicas at n=2, each its own task at two workers; at
+    # 9 expected events per setting, master seed 0 draws its first empty
+    # setting in the second stack
+    (9, 5000, 0, "replica 2777, setting 8", 1, 1820),
+    (9, 5000, 0, "replica 2777, setting 8", 2, 1820),
+    # 20 stacks, so two workers get tasks of three stacks; at 11 expected
+    # events per setting, master seed 14 draws its first empty setting in
+    # stack 4, the second stack of the second task
+    (11, 20 * 1820, 14, "replica 7876, setting 5", 1, 4 * 1820),
+    (11, 20 * 1820, 14, "replica 7876, setting 5", 2, 3 * 1820),
+])
+def test_a_failed_run_counts_the_stacks_before_its_stack_or_task(
+        counts, replicas, master_seed, failure, workers, completed):
+    """``completed`` is every replica before the failing stack (in process) or task (pool)."""
     cfg = ExperimentConfig.overcomplete(
         StateSpec(kind="white_noise", n=2),
-        CountModel(mode=POISSON, events_per_setting=9),
-        replicas=5000,
-        master_seed=0,
+        CountModel(mode=POISSON, events_per_setting=counts),
+        replicas=replicas,
+        master_seed=master_seed,
     )
-    with pytest.raises(EnsembleRunError, match="replica 2777, setting 8") as err:
+    with pytest.raises(EnsembleRunError, match=failure) as err:
         run_ensemble(cfg, workers=workers)
-    assert err.value.completed == 1820
+    assert err.value.completed == completed
 
 
 def test_complete_scheme_runs():
