@@ -493,10 +493,9 @@ def load_ensemble(path):
                                     % (digest, recorded[0]))
 
     text = csv_bytes.decode("ascii", errors="replace")
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
-    n_cols = len(lines[0].split(","))
+    n_cols = len(text.partition("\n")[0].split(","))
     dim = 2 ** config.state.n
     if n_cols - 1 != dim:
         raise DimensionMismatchError(

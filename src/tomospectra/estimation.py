@@ -30,10 +30,11 @@ Complete projector scheme
 The 4**n rank-1 projectors onto tensor products of |0>, |1>, |+> and
 |+i> form a (barely) informationally complete frame.  The transfer
 matrix B with B[v, mu] = tr(sigma_mu P_v) / 2**n maps correlation values
-to projector probabilities; it factorizes as the n-fold Kronecker power
-of a single-qubit 4x4 block, so both B and its inverse are applied one
-qubit axis at a time (`apply_per_qubit`) and the dense matrix is never
-formed.
+to projector probabilities and is the n-fold Kronecker power of a
+single-qubit 4x4 block.  The estimate is one per-qubit map
+(`apply_per_qubit`) from counts to matrix entries, B^-1 followed by the
+Pauli-to-entries map on each qubit, normalized by the identity
+component; no dense matrix and no correlation vector is formed.
 """
 
 import math
@@ -143,19 +144,22 @@ def setting_probability_table(rho, n):
 _PAULI_ENTRIES = SIGMA.reshape(4, 4).T
 
 
+def _matrices(entries, n):
+    """(..., 4**n) per-qubit (i, j) entries -> (..., 2**n, 2**n) matrices."""
+    batch = entries.shape[:-1]
+    lead = len(batch)
+    # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
+    perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
+    return entries.reshape(batch + (2,) * (2 * n)).transpose(perm).reshape(batch + (2**n,) * 2)
+
+
 def reconstruct_from_values(values, n):
     """Dense matrix 2**-n sum_mu T_mu sigma_mu from flat correlation values.
 
     ``values`` may carry leading stack axes; so does the result.
     """
     values = np.asarray(values, dtype=complex)
-    batch = values.shape[:-1]
-    t = apply_per_qubit(_PAULI_ENTRIES, values, n).reshape(batch + (2,) * (2 * n))
-    # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
-    lead = len(batch)
-    perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
-    rho = t.transpose(perm).reshape(batch + (2**n, 2**n))
-    return rho / 2**n
+    return _matrices(apply_per_qubit(_PAULI_ENTRIES, values, n), n) / 2**n
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +167,7 @@ def reconstruct_from_values(values, n):
 # ---------------------------------------------------------------------------
 
 # Single-qubit frame kets: |0>, |1>, |+>, |+i>.
-_FRAME_KETS = np.array(
-    [
-        [1.0, 0.0],
-        [0.0, 1.0],
-        [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
-        [1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)],
-    ],
-    dtype=complex,
-)
+_FRAME_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([[1.0], [1.0], [2.0], [2.0]])
 
 
 @dataclass(frozen=True)
@@ -180,20 +176,21 @@ class CompleteSchemeFrame:
 
     ``block`` is the single-qubit transfer matrix B1 with
     B1[v, mu] = tr(sigma_mu |v><v|) / 2; the full transfer matrix is its
-    n-fold Kronecker power.  ``block_inv`` is its exact inverse.
+    n-fold Kronecker power.  ``block_inv`` is its exact inverse and
+    ``identity_row`` row 0 of the full inverse.  ``entries`` maps one
+    qubit's counts to matrix entries, [(i, j), v] = sum_mu sigma_mu[i, j] B1^-1[mu, v];
+    its n-fold Kronecker power maps counts to a matrix.
     """
 
     n: int
     block: np.ndarray
     block_inv: np.ndarray
+    entries: np.ndarray
+    identity_row: np.ndarray
 
     def probabilities(self, values):
         """Projector probabilities p_v = B @ T from flat correlation values."""
         return apply_per_qubit(self.block, np.asarray(values, dtype=float), self.n)
-
-    def correlations(self, frequencies):
-        """Raw correlation vector B^-1 @ f (no normalization applied)."""
-        return apply_per_qubit(self.block_inv, np.asarray(frequencies, dtype=float), self.n)
 
 
 @lru_cache(maxsize=None)
@@ -209,25 +206,27 @@ def build_complete_frame(n):
     block_inv = np.linalg.inv(block)
     if np.abs(block @ block_inv - np.eye(4)).max() > 1e-8:
         raise AssertionError("singular single-qubit transfer block")
-    return CompleteSchemeFrame(n=n, block=block, block_inv=block_inv)
+    return CompleteSchemeFrame(n=n, block=block, block_inv=block_inv,
+                               entries=_PAULI_ENTRIES @ block_inv,
+                               identity_row=kron_all([block_inv[0]] * n))
 
 
 def estimate_complete(frame, counts, n_flux):
     """Linear estimate from the projector scheme's counts.
 
-    Frequencies f_v = c_v / n_flux are inverted through the transfer
-    matrix; the correlation vector is then rescaled so its identity
-    component is exactly 1, which keeps the trace pinned regardless of
-    how the actual event total fluctuated around the nominal flux.
-    ``counts`` may carry leading stack axes; so does the estimate.
+    One per-qubit map (``frame.entries``) takes the counts to matrix
+    entries, normalized by the identity component of the frequencies
+    c_v / n_flux: the trace is 1 however the event total fluctuated, and
+    ``n_flux`` drops out.  ``counts`` may carry leading stack axes; so
+    does the estimate.
     """
     if n_flux <= 0:
         raise ValueError("flux must be positive")
     counts = np.asarray(counts, dtype=float)
     if counts.ndim == 0 or counts.shape[-1] != 4**frame.n:
         raise ValueError("expected %d projector counts" % 4**frame.n)
-    raw = frame.correlations(counts / n_flux)
-    if (np.abs(raw[..., 0]) < 1e-12).any():
+    identity = counts @ frame.identity_row / n_flux
+    if (np.abs(identity) < 1e-12).any():
         raise ValueError("degenerate data: vanishing identity component")
-    values = raw / raw[..., :1]
-    return reconstruct_from_values(values, frame.n)
+    scaled = counts / (2**frame.n * identity * n_flux)[..., None]
+    return _matrices(apply_per_qubit(frame.entries, scaled, frame.n), frame.n)

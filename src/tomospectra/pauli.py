@@ -85,14 +85,14 @@ def apply_per_qubit(block, vec, n):
     leading axes are a stack of such vectors.  Each pass contracts the
     leading qubit axis of every (4,) * n tensor with ``block`` and appends
     the result last, so the axes end in qubit order.  A pass is one
-    (4**(n-1), 4) x (4, 4) product per vector, the same BLAS call for a
-    stack as for a single vector, so stacking does not change the bits.
+    (4**(n-1), 4) x (4, 4) product per vector on a transposed view, with
+    no copy, the same BLAS call for a stack as for a single vector, so
+    stacking does not change the bits.
     """
     batch = vec.shape[:-1]
-    t = vec.reshape(batch + (4,) * n)
+    t = vec
     for _ in range(n):
-        t = np.moveaxis(t, -n, -1).reshape(batch + (-1, 4)) @ block.T
-        t = t.reshape(batch + (4,) * n)
+        t = t.reshape(batch + (4, -1)).swapaxes(-1, -2) @ block.T
     return t.reshape(vec.shape)
 
 

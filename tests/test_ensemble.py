@@ -435,6 +435,9 @@ def test_load_truncated_rows(tmp_path):
     _rewrite_spectra(out, b"\n".join(lines[:-2]) + b"\n")
     with pytest.raises(MalformedEnsembleError):
         load_ensemble(str(out))
+    _rewrite_spectra(out, b"")
+    with pytest.raises(MalformedEnsembleError, match="is empty"):
+        load_ensemble(str(out))
 
 
 def test_load_dimension_mismatch(tmp_path):
@@ -443,6 +446,10 @@ def test_load_dimension_mismatch(tmp_path):
     lines = (out / SPECTRA_FILE).read_bytes().splitlines()
     stripped = [b",".join(line.split(b",")[:-1]) for line in lines]
     _rewrite_spectra(out, b"\n".join(stripped) + b"\n")
+    with pytest.raises(DimensionMismatchError):
+        load_ensemble(str(out))
+    # a header alone, with no line end, is still the line the columns are counted on
+    _rewrite_spectra(out, stripped[0])
     with pytest.raises(DimensionMismatchError):
         load_ensemble(str(out))
 

@@ -131,6 +131,19 @@ def test_complete_frame_block_is_the_trace_loop_bit_for_bit():
     assert frame.block_inv.tobytes() == np.linalg.inv(block).tobytes()
 
 
+def dual_operator_estimate(counts, n):
+    """sum_v c_v (x)_k D_{v_k}, divided by its trace.
+
+    The duals D_v come from inverting the frame itself: p_v = tr(P_v rho)
+    is the row conj(P_v) applied to the entries of rho, so column v of the
+    inverse of those rows holds the entries of D_v.
+    """
+    frame_rows = np.einsum("vi,vj->vij", FRAME_KETS, FRAME_KETS.conj()).conj().reshape(4, 4)
+    duals = np.linalg.inv(frame_rows).T.reshape(4, 2, 2)
+    rho = sum(c * kron_all(duals[base_digits(v, 4, n)]) for v, c in enumerate(counts))
+    return rho / np.trace(rho)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_complete_frame_dense_transfer_invertibility(n):
     """Materialized dense transfer matrix times its inverse is the identity."""
@@ -143,7 +156,12 @@ def test_complete_frame_dense_transfer_invertibility(n):
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(4**n)
     np.testing.assert_allclose(frame.probabilities(vec), dense @ vec, atol=1e-10)
-    np.testing.assert_allclose(frame.correlations(vec), dense_inv @ vec, atol=1e-10)
+    # the per-qubit estimate inverts the frame: one vector and a stack of 5
+    counts = rng.poisson(100.0, size=(5, 4**n))
+    expected = np.array([dual_operator_estimate(c, n) for c in counts])
+    np.testing.assert_allclose(estimate_complete(frame, counts, 100.0), expected, atol=1e-12)
+    np.testing.assert_allclose(estimate_complete(frame, counts[0], 100.0), expected[0],
+                               atol=1e-12)
 
 
 def test_complete_frame_projector_probabilities():

@@ -42,11 +42,13 @@ CASES = {
         "740c7d91e26189f61f238e2d4d3e552b068f27fc8cb041dcaeb2b6a0b458511f",
         1,
     ),
+    # Re-taken for 0.2.3 (one per-qubit map from counts to the matrix),
+    # which rounds differently at about 1e-16: d05fbc45... before.
     "cmp3-poisson": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="white_noise", n=3), 1e5, replicas=8,
             master_seed=7),
-        "d05fbc4536cbd1428a3eb04bb27daa13b6a884a76a79a4d65bbbef389f08e4c0",
+        "1d44ac705407149054cef48d13439c94c09ea75722618f1de9d9833b7a2e3ad4",
         1,
     ),
     # 12 replicas at n=4 are one stack, sent as one task to a two-worker
@@ -79,13 +81,15 @@ CASES = {
         "08261cdebade365f1aad7a873ac9151f10dfab9a8d1284b0cdfa3e82ed9e73f4",
         1,
     ),
-    # at n=1 each replica's frame inversion is a single (1, 4) x (4, 4)
-    # product, which BLAS rounds differently from a (B, 4) x (4, 4) one
+    # at n=1 a replica's whole estimate is one (1, 4) x (4, 4) product of
+    # its scaled real counts with the complex counts-to-entries block,
+    # which BLAS rounds differently from a (B, 4) x (4, 4) one.
+    # Re-taken for 0.2.3 (that fused product): 851e58c5... before.
     "cmp1-rank1": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="rank_r_plus_noise", n=1, q=0.6, r=1, seed=12),
             2e4, replicas=40, master_seed=21),
-        "851e58c51c66cfee41f9e82bf926313e06b922fe40fef141cca082617c2387e8",
+        "28ebd31038b2e875466017bdeefca9bacbce331253d918304ea81f208fcf4d7c",
         1,
     ),
 }

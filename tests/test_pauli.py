@@ -102,6 +102,34 @@ def test_kron_all_and_apply_per_qubit_agree_with_explicit_products():
                                    kron_all([block] * n) @ vec, atol=1e-12)
 
 
+def moveaxis_apply_per_qubit(block, vec, n):
+    """`apply_per_qubit` as first written: move the qubit axis last, copy, multiply."""
+    batch = vec.shape[:-1]
+    t = vec.reshape(batch + (4,) * n)
+    for _ in range(n):
+        t = np.moveaxis(t, -n, -1).reshape(batch + (-1, 4)) @ block.T
+        t = t.reshape(batch + (4,) * n)
+    return t.reshape(vec.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("block_type, vec_type", [(float, float), (complex, float),
+                                                  (complex, complex)])
+def test_apply_per_qubit_bits_do_not_depend_on_stacking(n, block_type, vec_type):
+    """A stack gives the bytes of its vectors one at a time, and of the moveaxis form."""
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((4, 4)).astype(block_type)
+    stack = rng.standard_normal((5, 4**n)).astype(vec_type)
+    if block_type is complex:
+        block += 1j * rng.standard_normal((4, 4))
+    if vec_type is complex:
+        stack += 1j * rng.standard_normal((5, 4**n))
+    out = apply_per_qubit(block, stack, n)
+    singles = np.array([apply_per_qubit(block, vec, n) for vec in stack])
+    assert out.tobytes() == singles.tobytes()
+    assert out.tobytes() == moveaxis_apply_per_qubit(block, stack, n).tobytes()
+
+
 def test_pauli_string_round_trip():
     """Pauli labels and their flat base-4 index, qubit 0 most significant."""
     labels = digits(np.arange(4**3), 4, 3)
