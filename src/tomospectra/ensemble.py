@@ -38,6 +38,7 @@ import os
 
 import numpy as np
 
+from . import __version__
 from .estimation import (
     build_complete_frame,
     correlations_from_frequencies,
@@ -45,7 +46,8 @@ from .estimation import (
     reconstruct_from_values,
     setting_probability_table,
 )
-from .pauli import StateSpec, _integer, _known_keys, _real, build_state, correlation_tensor_values
+from .pauli import (StateSpec, _integer, _known_keys, _positive, _seed, build_state,
+                    correlation_tensor_values)
 from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekeyed, stream
 
 OVERCOMPLETE = "overcomplete"
@@ -90,12 +92,6 @@ class DimensionMismatchError(EnsembleIOError):
     """Row length in spectra.csv contradicts the configured qubit count."""
 
 
-def _code_version():
-    from . import __version__
-
-    return __version__
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one ensemble, seeds included.
@@ -129,18 +125,12 @@ class ExperimentConfig:
                 raise ValueError("count_model applies to the overcomplete scheme only")
             if self.total_counts is None:
                 raise ValueError("complete scheme requires total_counts")
-            counts = _real("total_counts", self.total_counts)
-            if not counts > 0:
-                raise ValueError("complete scheme requires positive total_counts")
-            object.__setattr__(self, "total_counts", counts)
+            object.__setattr__(self, "total_counts", _positive("total_counts", self.total_counts))
         replicas = _integer("replicas", self.replicas)
         if replicas < 1:
             raise ValueError("replicas must be a positive integer")
-        master_seed = _integer("master_seed", self.master_seed)
-        if master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
         object.__setattr__(self, "replicas", replicas)
-        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
 
     @classmethod
     def overcomplete(cls, state, count_model, replicas, master_seed=0):
@@ -317,9 +307,9 @@ def _overcomplete_estimate(probs, model, master_seed, n, replicas):
     return reconstruct_from_values(values, n)
 
 
-def _complete_estimate(frame, intensity, n_flux, master_seed, replicas):
+def _complete_estimate(frame, intensity, master_seed, replicas):
     counts = _draw_stack(master_seed, replicas, intensity[None], "poisson")
-    return estimate_complete(frame, counts[:, 0], n_flux)
+    return estimate_complete(frame, counts[:, 0])
 
 
 def replica_estimator(config):
@@ -340,14 +330,11 @@ def replica_estimator(config):
     seed = config.master_seed
     if config.scheme == COMPLETE:
         frame = build_complete_frame(n)
-        # detection intensity per projector: the nominal budget N_total
-        # spread so that the white-noise state detects N_total events
-        # in expectation (the 4^n projector sums to 2^n * identity-ish
-        # total weight, hence the 2^n divisor)
+        # detection intensity: a white-noise state's 4^n probabilities sum to
+        # 2^n, so p_v * N_total / 2^n detects N_total events in expectation
         p_v = np.clip(frame.probabilities(correlation_tensor_values(rho)), 0.0, None)
         intensity = p_v * (config.total_counts / 2**n)
-        n_flux = config.total_counts / 4**n
-        return functools.partial(_complete_estimate, frame, intensity, n_flux, seed)
+        return functools.partial(_complete_estimate, frame, intensity, seed)
     probs = setting_probability_table(rho, n)
     return functools.partial(_overcomplete_estimate, probs, config.count_model, seed, n)
 
@@ -435,7 +422,7 @@ def save_ensemble(ensemble, path):
     os.makedirs(path, exist_ok=True)
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "code_version": _code_version(),
+        "code_version": __version__,
         "config": ensemble.config.to_json(),
     }
     csv_bytes = _format_csv(ensemble)

@@ -1,7 +1,7 @@
 """Linear state estimation: counts -> correlations -> matrix.
 
-Flat indices, tensor products and per-qubit contractions go through the
-register helpers of `tomospectra.pauli` (`digits`/`from_digits`,
+Flat indices, tensor products and per-qubit maps go through the register
+helpers of `tomospectra.pauli` (`digits`/`from_digits`, `from_qubit_entries`,
 `kron_all`, `apply_per_qubit`); this module decodes no digits itself.
 
 Overcomplete local scheme
@@ -29,12 +29,11 @@ Complete projector scheme
 --------------------------
 The 4**n rank-1 projectors onto tensor products of |0>, |1>, |+> and
 |+i> form a (barely) informationally complete frame.  The transfer
-matrix B with B[v, mu] = tr(sigma_mu P_v) / 2**n maps correlation values
-to projector probabilities and is the n-fold Kronecker power of a
-single-qubit 4x4 block.  The estimate is one per-qubit map
-(`apply_per_qubit`) from counts to matrix entries, B^-1 followed by the
-Pauli-to-entries map on each qubit, normalized by the identity
-component; no dense matrix and no correlation vector is formed.
+matrix B[v, mu] = tr(sigma_mu P_v) / 2**n from correlation values to
+projector probabilities is the n-fold Kronecker power of a 4x4 block.
+The estimate is one per-qubit map from counts to matrix entries (B^-1,
+then Pauli coefficients to entries), normalized to unit trace by the
+counts alone; no dense matrix and no correlation vector is formed.
 """
 
 import math
@@ -45,10 +44,12 @@ import numpy as np
 
 from .pauli import (
     SIGMA,
+    _dense_qubits,
     apply_per_qubit,
     correlation_tensor_values,
     digits,
     from_digits,
+    from_qubit_entries,
     kron_all,
 )
 
@@ -144,22 +145,13 @@ def setting_probability_table(rho, n):
 _PAULI_ENTRIES = SIGMA.reshape(4, 4).T
 
 
-def _matrices(entries, n):
-    """(..., 4**n) per-qubit (i, j) entries -> (..., 2**n, 2**n) matrices."""
-    batch = entries.shape[:-1]
-    lead = len(batch)
-    # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
-    perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
-    return entries.reshape(batch + (2,) * (2 * n)).transpose(perm).reshape(batch + (2**n,) * 2)
-
-
 def reconstruct_from_values(values, n):
     """Dense matrix 2**-n sum_mu T_mu sigma_mu from flat correlation values.
 
     ``values`` may carry leading stack axes; so does the result.
     """
     values = np.asarray(values, dtype=complex)
-    return _matrices(apply_per_qubit(_PAULI_ENTRIES, values, n), n) / 2**n
+    return from_qubit_entries(apply_per_qubit(_PAULI_ENTRIES, values, n), n) / 2**n
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +166,15 @@ _FRAME_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([[1.0], [1.0
 class CompleteSchemeFrame:
     """The 4**n-projector tomography frame in Kronecker-factored form.
 
-    ``block`` is the single-qubit transfer matrix B1 with
-    B1[v, mu] = tr(sigma_mu |v><v|) / 2; the full transfer matrix is its
-    n-fold Kronecker power.  ``block_inv`` is its exact inverse and
-    ``identity_row`` row 0 of the full inverse.  ``entries`` maps one
-    qubit's counts to matrix entries, [(i, j), v] = sum_mu sigma_mu[i, j] B1^-1[mu, v];
-    its n-fold Kronecker power maps counts to a matrix.
+    ``block`` is the single-qubit transfer matrix B1[v, mu] =
+    tr(sigma_mu |v><v|) / 2 and ``entries`` the single-qubit map from
+    counts to matrix entries, [(i, j), v] = sum_mu sigma_mu[i, j] B1^-1[mu, v];
+    their n-fold Kronecker powers act on the whole register.
     """
 
     n: int
     block: np.ndarray
-    block_inv: np.ndarray
     entries: np.ndarray
-    identity_row: np.ndarray
 
     def probabilities(self, values):
         """Projector probabilities p_v = B @ T from flat correlation values."""
@@ -195,38 +183,30 @@ class CompleteSchemeFrame:
 
 @lru_cache(maxsize=None)
 def build_complete_frame(n):
-    """Build (and cache) the projector frame for n qubits."""
-    if not 1 <= n <= 6:
-        raise ValueError("the dense projector frame is limited to 1..6 qubits")
-    # tr(sigma_mu |v><v|) = <v| sigma_mu |v>
-    values = np.einsum("vi,mij,vj->vm", _FRAME_KETS.conj(), SIGMA, _FRAME_KETS) / 2.0
-    if np.abs(values.imag).max() > 1e-14:
-        raise AssertionError("transfer matrix must be real")
-    block = values.real.copy()
-    block_inv = np.linalg.inv(block)
-    if np.abs(block @ block_inv - np.eye(4)).max() > 1e-8:
-        raise AssertionError("singular single-qubit transfer block")
-    return CompleteSchemeFrame(n=n, block=block, block_inv=block_inv,
-                               entries=_PAULI_ENTRIES @ block_inv,
-                               identity_row=kron_all([block_inv[0]] * n))
+    """Build (and cache) the projector frame for n qubits, 1..MAX_QUBITS_DENSE."""
+    n = _dense_qubits(n)
+    # tr(sigma_mu |v><v|) = <v| sigma_mu |v>, real since sigma_mu is Hermitian
+    block = np.einsum("vi,mij,vj->vm", _FRAME_KETS.conj(), SIGMA, _FRAME_KETS).real / 2.0
+    return CompleteSchemeFrame(n=n, block=block, entries=_PAULI_ENTRIES @ np.linalg.inv(block))
 
 
-def estimate_complete(frame, counts, n_flux):
-    """Linear estimate from the projector scheme's counts.
+def estimate_complete(frame, counts):
+    """Linear estimate sum_v c_v D_v / tr(sum_v c_v D_v) from projector counts.
 
-    One per-qubit map (``frame.entries``) takes the counts to matrix
-    entries, normalized by the identity component of the frequencies
-    c_v / n_flux: the trace is 1 however the event total fluctuated, and
-    ``n_flux`` drops out.  ``counts`` may carry leading stack axes; so
-    does the estimate.
+    ``frame.entries`` holds 2 D_v per qubit, D_v being the dual of projector
+    v, so one per-qubit map takes the counts to the matrix.  The duals of
+    |0> and |1> have unit trace and those of |+> and |+i> none, so the trace
+    is the total count of the 2**n computational-basis projectors.
+    ``counts`` may carry leading stack axes; so does the estimate.
     """
-    if n_flux <= 0:
-        raise ValueError("flux must be positive")
+    n = frame.n
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim == 0 or counts.shape[-1] != 4**frame.n:
-        raise ValueError("expected %d projector counts" % 4**frame.n)
-    identity = counts @ frame.identity_row / n_flux
-    if (np.abs(identity) < 1e-12).any():
-        raise ValueError("degenerate data: vanishing identity component")
-    scaled = counts / (2**frame.n * identity * n_flux)[..., None]
-    return _matrices(apply_per_qubit(frame.entries, scaled, frame.n), frame.n)
+    if counts.ndim == 0 or counts.shape[-1] != 4**n:
+        raise ValueError("expected %d projector counts" % 4**n)
+    # digits 0 and 1 (|0> and |1>) on every qubit axis of the (4,) * n view
+    basis = counts.reshape(counts.shape[:-1] + (4,) * n)[(...,) + (slice(2),) * n]
+    total = basis.sum(axis=tuple(range(-n, 0)))
+    if (total == 0).any():
+        raise ValueError("degenerate data: no computational-basis counts")
+    scaled = counts / (2**n * total)[..., None]
+    return from_qubit_entries(apply_per_qubit(frame.entries, scaled, n), n)

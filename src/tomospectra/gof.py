@@ -227,8 +227,6 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
     dim = 2**n
     if eigs.size != dim:
         raise ValueError("expected %d eigenvalues, got %d" % (dim, eigs.size))
-    if counts < 1:
-        raise ValueError("counts must be >= 1")
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must lie strictly between 0 and 1")
     hard_cap = dim - 5
@@ -291,11 +289,11 @@ def reconstruct_physical_estimate(eigenvalues, eigenvectors, report):
         raise NoAcceptedRankError("no candidate rank was accepted")
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     eigenvectors = np.asarray(eigenvectors, dtype=complex)
-    if np.any(np.diff(eigenvalues) < 0):
+    dim = eigenvalues.size
+    if np.any(np.diff(eigenvalues) < 0) or eigenvectors.shape != (dim, dim):
         raise ValueError("eigenvalues must be ascending and match the vectors")
     r = report.chosen_rank
     c = report.candidate(r).center
-    dim = eigenvalues.size
     floored = np.full(dim, c)
     if r > 0:
         floored[dim - r :] = eigenvalues[dim - r :]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _integer
+from .pauli import _integer, _positive, _real
 
 MAX_QUBITS_ANALYTIC = 10
 
@@ -57,7 +57,7 @@ def semicircle_radius(n, counts, r=0):
     correction shrinks the radius because r eigenvalues leave the bulk.
     """
     n = _check_n(n)
-    if counts < 1:
+    if _real("counts", counts) < 1:
         raise ValueError("counts must be >= 1")
     if not 0 <= r < 2**n:
         raise ValueError("rank r must lie in 0..2**n - 1")
@@ -210,11 +210,10 @@ def laplace_model(n, total_counts):
     """Laplace law for the projector scheme at N_total events overall.
 
     alpha = sqrt(2 N_total / 4**n); the second central moment is then
-    4**n / N_total.
+    4**n / N_total.  N_total is any positive number, as in `ExperimentConfig`.
     """
     n = _check_n(n)
-    if total_counts < 1:
-        raise ValueError("total counts must be >= 1")
+    total_counts = _positive("total_counts", total_counts)
     return LaplaceModel(center=2.0**-n, alpha=math.sqrt(2.0 * total_counts / 4**n))
 
 

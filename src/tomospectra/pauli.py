@@ -2,9 +2,9 @@
 
 Every qubit register is ordered left to right, qubit 0 first, and qubit 0
 is the most significant factor in all tensor products and flat indices.
-`digits`/`from_digits` (flat indices), `kron_all` (tensor products) and
-`apply_per_qubit` (Kronecker powers on a stack of vectors) are its one
-implementation.
+`digits`/`from_digits` (flat indices), `qubit_entries`/`from_qubit_entries`
+(matrix entries), `kron_all` (tensor products) and `apply_per_qubit`
+(Kronecker powers on a stack of vectors) are its one implementation.
 The fixed conventions used throughout the package are:
 
 * Pauli labels 0, 1, 2, 3 stand for the identity and the X, Y, Z operators.
@@ -73,6 +73,21 @@ def from_digits(values, base):
     return values @ _place_values(base, values.shape[-1])
 
 
+def qubit_entries(matrix, n):
+    """A (2**n, 2**n) matrix -> its 4**n entries, indexed (row_0, col_0, row_1, ...)."""
+    perm = [ax for k in range(n) for ax in (k, n + k)]
+    return matrix.reshape((2,) * (2 * n)).transpose(perm).reshape(4**n)
+
+
+def from_qubit_entries(entries, n):
+    """Inverse of `qubit_entries` on a stack: (..., 4**n) -> (..., 2**n, 2**n)."""
+    batch = entries.shape[:-1]
+    lead = len(batch)
+    # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
+    perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
+    return entries.reshape(batch + (2,) * (2 * n)).transpose(perm).reshape(batch + (2**n,) * 2)
+
+
 def kron_all(factors):
     """factors[0] (x) factors[1] (x) ...: qubit 0 is the leftmost factor."""
     return functools.reduce(np.kron, factors)
@@ -108,13 +123,38 @@ def _integer(name, value):
 
 
 def _real(name, value):
-    """``value`` as a float; its type must be a real number type other than bool.
+    """``value`` as a finite float; its type must be a real number type other than bool.
 
-    True would pass for 1, and "0.5" read from a config.json is malformed.
+    True would pass for 1, "0.5" read from a config.json is malformed, and
+    NaN fails every range check.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError("%s must be a number, got %r" % (name, value))
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
+
+
+def _positive(name, value):
+    """``value`` as a finite float above 0 (see `_real`)."""
+    if not _real(name, value) > 0:
+        raise ValueError("%s must be positive, got %r" % (name, value))
     return float(value)
+
+
+def _seed(name, value):
+    """``value`` as an int in 0..2**64 - 1: it becomes a 64-bit Philox key word."""
+    if not 0 <= _integer(name, value) < 2**64:
+        raise ValueError("%s must lie in 0..2**64 - 1" % name)
+    return int(value)
+
+
+def _dense_qubits(n):
+    """``n`` as an int in 1..MAX_QUBITS_DENSE, the registers simulated densely."""
+    if not 1 <= _integer("n", n) <= MAX_QUBITS_DENSE:
+        raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
+    return int(n)
 
 
 def _known_keys(block, doc, known):
@@ -183,13 +223,11 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise ValueError("unknown state kind %r" % (self.kind,))
+        object.__setattr__(self, "n", _dense_qubits(self.n))
         # k=1.5 would build a NaN state
-        for name in ("n", "r", "k", "seed"):
+        for name in ("r", "k"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 1 <= self.n <= MAX_QUBITS_DENSE:
-            raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
-        if not 0 <= self.seed < 2**64:  # it becomes a 64-bit Philox key word
-            raise ValueError("seed must lie in 0..2**64 - 1")
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         object.__setattr__(self, "q", _real("signal weight q", self.q))
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("signal weight q must lie in [0, 1]")
@@ -293,10 +331,7 @@ def correlation_tensor_values(rho, n=None):
     """
     if n is None:
         n = rho.shape[0].bit_length() - 1
-    # interleave (row_0, col_0, row_1, col_1, ...): one (i, j) axis per qubit
-    perm = [ax for k in range(n) for ax in (k, n + k)]
-    tensor = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(4**n)
-    values = apply_per_qubit(_READ_PAULI, tensor, n)
+    values = apply_per_qubit(_READ_PAULI, qubit_entries(rho, n), n)
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("correlation tensor has a non-negligible imaginary part")
     return values.real.copy()

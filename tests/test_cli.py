@@ -166,6 +166,9 @@ SIMULATE_USAGE_ERRORS = [
       "--out", "x"), None),
     (("simulate", "--qubits", "2", "--scheme", "complete", "--total-counts", "0",
       "--reps", "2", "--out", "x"), None),
+    # a master seed past 2**64 would replay the stream of seed - 2**64
+    (("simulate", "--qubits", "2", "--counts", "50", "--reps", "2",
+      "--seed", "18446744073709551616", "--out", "x"), None),
 ]
 
 
@@ -274,6 +277,19 @@ def test_analyze_laplace_family(tmp_path, capsys):
     assert doc["model"]["alpha"] == pytest.approx(
         models.laplace_model(2, 30000).alpha, rel=1e-12
     )
+
+
+def test_analyze_reads_a_complete_ensemble_below_one_count(tmp_path, capsys):
+    """Any positive budget simulate accepts has a Laplace law analyze can draw."""
+    out = tmp_path / "ens"
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--qubits", "1", "--scheme", "complete", "--total-counts", "0.5",
+        "--reps", "2", "--seed", "19", "--out", str(out),
+    )
+    assert code == 0, err
+    doc = run_json(capsys, "analyze", "--in", str(out))
+    assert doc["model"]["alpha"] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_analyze_separate_out_dir(tmp_path, capsys):

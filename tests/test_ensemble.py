@@ -75,6 +75,29 @@ def test_config_scheme_compatibility():
     assert ExperimentConfig.complete(state, np.float32(1e4), replicas=1).total_counts == 1e4
 
 
+def test_master_seed_is_one_64_bit_key_word(tmp_path):
+    """Past 2**64 a master seed would alias: stream() keys on it mod 2**64."""
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="master_seed must lie in 0..2\\*\\*64 - 1"):
+            small_config(seed=seed)
+    save_ensemble(run_ensemble(small_config(reps=1, seed=2**64 - 1)), str(tmp_path))
+    meta = json.loads((tmp_path / CONFIG_FILE).read_text())
+    schema = load_schema("ensemble_config")
+    meta["config"]["state"]["seed"] = 2**64 - 1
+    jsonschema.validate(meta, schema)
+    for block, key in ((meta["config"], "master_seed"), (meta["config"]["state"], "seed")):
+        block[key] = 2**64
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(meta, schema)
+        block[key] = 2**64 - 1
+
+
+@pytest.mark.parametrize("total", [np.nan, np.inf])
+def test_complete_config_rejects_a_non_finite_budget(total):
+    with pytest.raises(ValueError, match="total_counts must be finite"):
+        ExperimentConfig.complete(StateSpec(kind="white_noise", n=1), total, replicas=1)
+
+
 def test_config_json_round_trip():
     for cfg in (
         small_config(),

@@ -13,6 +13,7 @@ from tomospectra.estimation import (
     setting_probability_table,
 )
 from tomospectra.pauli import (
+    MAX_QUBITS_DENSE,
     SIGMA,
     StateSpec,
     build_state,
@@ -112,9 +113,6 @@ def test_complete_frame_single_qubit_block():
         ]
     ) / 2.0
     np.testing.assert_allclose(frame.block, expected_first_rows, atol=1e-15)
-    np.testing.assert_allclose(
-        frame.block @ frame.block_inv, np.eye(4), atol=1e-12
-    )
 
 
 def test_complete_frame_block_is_the_trace_loop_bit_for_bit():
@@ -128,7 +126,6 @@ def test_complete_frame_block_is_the_trace_loop_bit_for_bit():
             assert abs(val.imag) <= 1e-14
             block[v, mu] = val.real
     assert frame.block.tobytes() == block.tobytes()
-    assert frame.block_inv.tobytes() == np.linalg.inv(block).tobytes()
 
 
 def dual_operator_estimate(counts, n):
@@ -149,7 +146,7 @@ def test_complete_frame_dense_transfer_invertibility(n):
     """Materialized dense transfer matrix times its inverse is the identity."""
     frame = build_complete_frame(n)
     dense = kron_all([frame.block] * n)
-    dense_inv = kron_all([frame.block_inv] * n)
+    dense_inv = kron_all([np.linalg.inv(frame.block)] * n)
     assert dense.shape == (4**n, 4**n)
     np.testing.assert_allclose(dense @ dense_inv, np.eye(4**n), atol=1e-10)
     # Kronecker-factored application agrees with the dense product
@@ -159,9 +156,8 @@ def test_complete_frame_dense_transfer_invertibility(n):
     # the per-qubit estimate inverts the frame: one vector and a stack of 5
     counts = rng.poisson(100.0, size=(5, 4**n))
     expected = np.array([dual_operator_estimate(c, n) for c in counts])
-    np.testing.assert_allclose(estimate_complete(frame, counts, 100.0), expected, atol=1e-12)
-    np.testing.assert_allclose(estimate_complete(frame, counts[0], 100.0), expected[0],
-                               atol=1e-12)
+    np.testing.assert_allclose(estimate_complete(frame, counts), expected, atol=1e-12)
+    np.testing.assert_allclose(estimate_complete(frame, counts[0]), expected[0], atol=1e-12)
 
 
 def test_complete_frame_projector_probabilities():
@@ -182,22 +178,32 @@ def test_estimate_complete_inverts_exact_data():
     rho = build_state(StateSpec(kind="pure_plus_noise", n=2, q=0.55, seed=9))
     frame = build_complete_frame(2)
     p = frame.probabilities(correlation_tensor_values(rho))
-    flux = 1000.0
-    rebuilt = estimate_complete(frame, p * flux, flux)
+    rebuilt = estimate_complete(frame, p * 1000.0)
     np.testing.assert_allclose(rebuilt, rho, atol=1e-10)
-    # normalization makes the result flux-agnostic
-    rebuilt2 = estimate_complete(frame, p * flux, 17.0)
-    np.testing.assert_allclose(rebuilt2, rho, atol=1e-10)
+    # the trace normalization makes the estimate independent of the counts' scale
+    np.testing.assert_allclose(estimate_complete(frame, p * 17.0), rebuilt, atol=1e-12)
 
 
 def test_estimate_complete_validation():
     frame = build_complete_frame(1)
-    with pytest.raises(ValueError):
-        estimate_complete(frame, np.zeros(4), 100.0)  # degenerate counts
-    with pytest.raises(ValueError):
-        estimate_complete(frame, np.ones(5), 100.0)
-    with pytest.raises(ValueError):
-        estimate_complete(frame, np.ones(4), 0.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        estimate_complete(frame, np.zeros(4))
+    with pytest.raises(ValueError, match="projector counts"):
+        estimate_complete(frame, np.ones(5))
+    # one replica of a stack with no |0> or |1> counts fails the whole stack
+    stack = np.array([[3.0, 1.0, 2.0, 2.0], [0.0, 0.0, 5.0, 4.0], [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        estimate_complete(frame, stack)
+    estimate_complete(frame, stack[[0, 2]])
+
+
+def test_complete_frame_takes_the_dense_qubit_range():
+    """The frame's qubit range is the dense rule's, with the state spec's message."""
+    for n in (0, MAX_QUBITS_DENSE + 1):
+        with pytest.raises(ValueError, match="qubit number must be an integer in 1..6"):
+            build_complete_frame(n)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_complete_frame(2.5)
 
 
 @hyp_settings(max_examples=25, deadline=None)

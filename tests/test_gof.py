@@ -292,8 +292,10 @@ def test_estimate_rank_validation():
     eigs = np.linspace(0.0, 0.3, 8)
     with pytest.raises(ValueError):
         estimate_rank(eigs, 2, 100)  # wrong dimension
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counts must be >= 1"):
         estimate_rank(eigs, 3, 0)
+    with pytest.raises(ValueError, match="counts must be finite"):
+        estimate_rank(eigs, 3, math.nan)
     with pytest.raises(ValueError):
         estimate_rank(eigs, 3, 100, significance=1.0)
     with pytest.raises(ValueError):
@@ -342,6 +344,9 @@ def test_reconstruct_physical_estimate_errors():
     report = estimate_rank(eigs, 3, 50000)
     with pytest.raises(ValueError):
         reconstruct_physical_estimate(eigs[::-1], np.eye(8), report)
+    for vectors in (np.eye(8)[:3], np.eye(8)[:, :4], np.eye(4)):
+        with pytest.raises(ValueError, match="match the vectors"):
+            reconstruct_physical_estimate(eigs, vectors, report)
 
 
 # --- unphysical fraction --------------------------------------------------------

@@ -44,11 +44,13 @@ CASES = {
     ),
     # Re-taken for 0.2.3 (one per-qubit map from counts to the matrix),
     # which rounds differently at about 1e-16: d05fbc45... before.
+    # Re-taken for 0.2.4 (normalized by the computational-basis count
+    # total, no flux): 1d44ac70... before.
     "cmp3-poisson": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="white_noise", n=3), 1e5, replicas=8,
             master_seed=7),
-        "1d44ac705407149054cef48d13439c94c09ea75722618f1de9d9833b7a2e3ad4",
+        "7f7e6c5ddad9539a67f969018ab9ddd99fbcda6c76286d8f04a2553a91ffa78d",
         1,
     ),
     # 12 replicas at n=4 are one stack, sent as one task to a two-worker
@@ -85,11 +87,13 @@ CASES = {
     # its scaled real counts with the complex counts-to-entries block,
     # which BLAS rounds differently from a (B, 4) x (4, 4) one.
     # Re-taken for 0.2.3 (that fused product): 851e58c5... before.
+    # Re-taken for 0.2.4 (normalized by the computational-basis count
+    # total, no flux): 28ebd310... before.
     "cmp1-rank1": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="rank_r_plus_noise", n=1, q=0.6, r=1, seed=12),
             2e4, replicas=40, master_seed=21),
-        "28ebd31038b2e875466017bdeefca9bacbce331253d918304ea81f208fcf4d7c",
+        "c3dde0b33e12a5f9212671308f9b0fdbe9a27548585c8b2084c349748cc010c6",
         1,
     ),
 }

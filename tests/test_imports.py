@@ -184,6 +184,15 @@ def requirement_names(requirements):
             for req in requirements}
 
 
+def test_pyproject_version_is_the_package_version():
+    """A versioned output change edits both by hand; they must agree."""
+    import tomospectra
+
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == tomospectra.__version__
+
+
 def test_imports_match_the_declared_dependencies():
     """The package imports exactly its run-time dependencies, and SciPy is test-only."""
     tomllib = pytest.importorskip("tomllib")

@@ -286,6 +286,22 @@ def test_laplace_validation():
         laplace_model(3, 0)
 
 
+def test_counts_in_the_closed_form_laws_are_finite_numbers():
+    """True is not one event, and NaN or inf counts have no law."""
+    for call in (lambda c: semicircle_radius(3, c), lambda c: laplace_model(3, c)):
+        with pytest.raises(ValueError, match="must be a number"):
+            call(True)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                call(bad)
+    with pytest.raises(ValueError, match="counts must be >= 1"):
+        semicircle_radius(3, 0.5)
+    # the complete scheme's budget only has to be positive, as in ExperimentConfig
+    assert laplace_model(1, 0.5).alpha == pytest.approx(0.5, rel=1e-15)
+    with pytest.raises(ValueError, match="total_counts must be positive"):
+        laplace_model(1, -0.5)
+
+
 # --- single-qubit exact law ----------------------------------------------------
 
 

@@ -18,9 +18,11 @@ from tomospectra.pauli import (
     digits,
     fidelity,
     from_digits,
+    from_qubit_entries,
     ghz_vector,
     haar_orthonormal_columns,
     kron_all,
+    qubit_entries,
 )
 
 # Born-rule oracle, independent of the package's table: the +1 and -1
@@ -100,6 +102,22 @@ def test_kron_all_and_apply_per_qubit_agree_with_explicit_products():
         vec = rng.standard_normal(4**n)
         np.testing.assert_allclose(apply_per_qubit(block, vec, n),
                                    kron_all([block] * n) @ vec, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qubit_entries_interleave_row_and_column_digits(n):
+    """Entry (row, col) sits at the flat index of (row_0, col_0, row_1, col_1, ...)."""
+    rng = np.random.default_rng(n)
+    matrix = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    entries = qubit_entries(matrix, n)
+    for row in range(2**n):
+        for col in range(2**n):
+            pairs = np.stack([digits(row, 2, n), digits(col, 2, n)], axis=-1).ravel()
+            assert entries[from_digits(pairs, 2)] == matrix[row, col]
+    # the inverse takes a stack back to its matrices
+    stack = np.stack([matrix, matrix.T, 2 * matrix])
+    rebuilt = from_qubit_entries(np.stack([qubit_entries(m, n) for m in stack]), n)
+    np.testing.assert_array_equal(rebuilt, stack)
 
 
 def moveaxis_apply_per_qubit(block, vec, n):
