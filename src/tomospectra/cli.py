@@ -23,7 +23,6 @@ from .ensemble import (
     EnsembleIOError,
     EnsembleRunError,
     ExperimentConfig,
-    _resolve_workers,
     load_ensemble,
     run_ensemble,
     save_ensemble,
@@ -95,6 +94,14 @@ def _library_checks():
         raise click.UsageError(str(exc)) from exc
 
 
+def _signal_rank(q, rank=None):
+    """The rank the laws take: 0 with no signal weight, else ``rank`` or 1.
+
+    A state with no signal weight is white noise whatever its kind.
+    """
+    return 0 if q == 0 else 1 if rank is None else rank
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="tomospectra")
 def cli():
@@ -117,7 +124,7 @@ def cli():
 def predict(qubits, counts, q, rank, fmt):
     """Predict the noise-bulk semicircle for given n, N, q, r."""
     if rank is None:
-        rank = 0 if q == 0.0 else 1
+        rank = _signal_rank(q)
     with _library_checks():
         model = models.SemicircleModel.for_state(qubits, counts, q, rank)
         doc = {
@@ -179,8 +186,9 @@ def min_counts_cmd(qubits, q, fmt):
 @click.option("--reps", type=int, required=True, help="number of replicas")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="master seed; every replica/setting derives from it")
-@click.option("--threads", type=int, default=None,
-              help="worker processes [default: $TOMOSPECTRA_THREADS or 1]")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              envvar="TOMOSPECTRA_THREADS", show_envvar=True,
+              help="worker processes, at most one per stack of replicas")
 @click.option("--out", type=click.Path(file_okay=False), required=True,
               help="directory for config.json/spectra.csv/checksum.txt")
 @_format_option
@@ -192,8 +200,6 @@ def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
         raise _bad("unknown state %r (use wn, pure, rank, ghz or dicke)" % state,
                    "--state")
     with _library_checks():
-        # --threads, or else $TOMOSPECTRA_THREADS, by the runner's own rule
-        workers = _resolve_workers(threads)
         config = ExperimentConfig(
             state=StateSpec(kind=kind, n=qubits, q=q, r=state_rank, k=excitations,
                             seed=state_seed),
@@ -204,13 +210,8 @@ def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
 
     started = time.time()
     with click.progressbar(length=reps, label="replicas", file=sys.stderr) as bar:
-        state_done = [0]
-
-        def advance(done, total):
-            bar.update(done - state_done[0])
-            state_done[0] = done
-
-        result = run_ensemble(config, workers=workers, progress=advance)
+        result = run_ensemble(config, workers=threads,
+                              progress=lambda done, total: bar.update(done - bar.pos))
     save_ensemble(result, out)
     doc = result.summary()
     doc["master_seed"] = seed
@@ -237,13 +238,7 @@ def _overlay_model(config):
         model = models.single_qubit_density(counts)
         return model, {"family": "single_qubit", "counts": counts,
                        "normalization": model.normalization}
-    # a state with no signal weight is white noise whatever its kind, as in `predict`
-    if state.q == 0:
-        r = 0
-    elif state.kind == "rank_r_plus_noise":
-        r = state.r
-    else:
-        r = 1
+    r = _signal_rank(state.q, state.r if state.kind == "rank_r_plus_noise" else None)
     model = models.SemicircleModel.for_state(n, counts, state.q, r)
     return model, {"family": "semicircle", "center": model.center,
                    "radius": model.radius, "width": 2.0 * model.radius}

@@ -54,9 +54,6 @@ OVERCOMPLETE = "overcomplete"
 COMPLETE = "complete"
 SCHEMES = (OVERCOMPLETE, COMPLETE)
 
-#: environment variable consulted for the default worker count
-THREADS_ENV = "TOMOSPECTRA_THREADS"
-
 SCHEMA_VERSION = 1
 
 CONFIG_FILE = "config.json"
@@ -344,42 +341,30 @@ def _stack_spectra(estimate, replicas):
     return np.linalg.eigvalsh(estimate(replicas))
 
 
-def _resolve_workers(workers):
-    if workers is None:
-        value = os.environ.get(THREADS_ENV, "").strip() or "1"
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0  # not an integer: rejected below with the value named
-        if workers < 1:
-            raise ValueError("%s must be a positive integer, got %r" % (THREADS_ENV, value))
-        return workers
-    workers = _integer("worker count", workers)
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
-    return workers
-
-
-def run_ensemble(config, workers=None, progress=None):
+def run_ensemble(config, workers=1, progress=None):
     """Run every replica of ``config`` and collect the sorted spectra.
 
-    ``workers=None`` consults the environment variable named by
-    ``THREADS_ENV`` and falls back to 1 (in-process).  Because every
-    (replica, setting) pair has its own seed stream, the result is
-    identical for any worker count.  ``progress``, if given, is called
-    as ``progress(done, total)`` after each stack.  Across workers a task
-    is a run of consecutive stacks, about four tasks per worker, so the
-    calls come in one burst per task.
+    ``workers`` is the number of worker processes, an integer >= 1,
+    capped at the number of stacks, so ``workers=1`` or a run of one
+    stack stays in process.  Because every (replica, setting) pair has
+    its own seed stream, the result is identical for any worker count.
+    ``progress``, if given, is called as ``progress(done, total)`` after
+    each stack.  Across workers a task is a run of consecutive stacks,
+    about four tasks per worker, so the calls come in one burst per task.
 
     Raises ``EnsembleRunError`` if any replica fails partway, carrying
     the number of replicas before the stack (in process) or the task
     (across workers) that failed.
     """
-    workers = _resolve_workers(workers)
+    workers = _integer("worker count", workers)
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
     total = config.replicas
     rows = np.empty((total, 2 ** config.state.n))
     size = max(1, _STACK_ENTRIES // 6**config.state.n)
     stacks = [range(a, min(a + size, total)) for a in range(0, total, size)]
+    # the pool forks every worker at its first task, busy or not
+    workers = min(workers, len(stacks))
     completed = 0
     try:
         spectra = functools.partial(_stack_spectra, replica_estimator(config))

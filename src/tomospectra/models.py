@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _integer, _positive, _real
+from .pauli import _integer, _positive, _real, _signal_weight
 
 MAX_QUBITS_ANALYTIC = 10
 
@@ -36,6 +36,13 @@ def _check_n(n):
     return n
 
 
+def _check_rank(n, r):
+    r = _integer("rank r", r)
+    if not 0 <= r < 2**n:
+        raise ValueError("rank r must lie in 0..2**n - 1")
+    return r
+
+
 def semicircle_center(n, q=0.0, r=0):
     """Center c = (1 - q)/(2**n - r) of the noise-eigenvalue semicircle.
 
@@ -43,11 +50,7 @@ def semicircle_center(n, q=0.0, r=0):
     plain white-noise center 2**-n is the q = 0, r = 0 case.
     """
     n = _check_n(n)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("signal weight q must lie in [0, 1]")
-    if not 0 <= r < 2**n:
-        raise ValueError("rank r must lie in 0..2**n - 1")
-    return (1.0 - q) / (2**n - r)
+    return (1.0 - _signal_weight(q)) / (2**n - _check_rank(n, r))
 
 
 def semicircle_radius(n, counts, r=0):
@@ -59,8 +62,7 @@ def semicircle_radius(n, counts, r=0):
     n = _check_n(n)
     if _real("counts", counts) < 1:
         raise ValueError("counts must be >= 1")
-    if not 0 <= r < 2**n:
-        raise ValueError("rank r must lie in 0..2**n - 1")
+    r = _check_rank(n, r)
     base = 2.0 * math.sqrt((10**n - 1) / (12**n * float(counts)))
     return base * math.sqrt(1.0 - r / 2**n)
 
@@ -88,8 +90,8 @@ class SemicircleModel:
         q > 0 keeps the unshrunk radius; any other r gets the rank
         correction, as in `for_noise`.
         """
-        radius_rank = 0 if r == 1 and q > 0 else r
-        return cls(semicircle_center(n, q, r), semicircle_radius(n, counts, radius_rank))
+        center = semicircle_center(n, q, r)  # checks q and r before they are compared
+        return cls(center, semicircle_radius(n, counts, 0 if r == 1 and q > 0 else r))
 
     @property
     def support(self):
@@ -148,8 +150,7 @@ def min_counts(n, q):
     nonnegative linear estimate).
     """
     n = _check_n(n)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("signal weight q must lie in [0, 1]")
+    q = _signal_weight(q)
     if q == 1.0:
         raise ValueError("the count threshold diverges as q -> 1")
     exact = 4.0 * 5**n * (2**n - 1) ** 2 / (6**n * (1.0 - q) ** 2)

@@ -143,6 +143,14 @@ def _positive(name, value):
     return float(value)
 
 
+def _signal_weight(q):
+    """``q`` as a float in [0, 1], the weight of a state's signal part (see `_real`)."""
+    q = _real("signal weight q", q)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("signal weight q must lie in [0, 1]")
+    return q
+
+
 def _seed(name, value):
     """``value`` as an int in 0..2**64 - 1: it becomes a 64-bit Philox key word."""
     if not 0 <= _integer(name, value) < 2**64:
@@ -228,9 +236,7 @@ class StateSpec:
         for name in ("r", "k"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "seed", _seed("seed", self.seed))
-        object.__setattr__(self, "q", _real("signal weight q", self.q))
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("signal weight q must lie in [0, 1]")
+        object.__setattr__(self, "q", _signal_weight(self.q))
         if self.kind == "white_noise" and self.q != 0.0:
             raise ValueError("white noise has no signal part; q must be 0")
         if self.kind == "rank_r_plus_noise" and not 1 <= self.r <= 2**self.n:

@@ -8,8 +8,11 @@ import pytest
 
 from tomospectra import models
 from tomospectra.cli import HISTOGRAM_FILE, OVERLAY_FILE, SUMMARY_FILE, main
-from tomospectra.ensemble import THREADS_ENV, load_ensemble
+from tomospectra.ensemble import load_ensemble
 from tomospectra.schemas import load_schema
+
+
+THREADS_ENV = "TOMOSPECTRA_THREADS"
 
 
 def run_cli(capsys, *argv):
@@ -122,20 +125,27 @@ def test_simulate_writes_ensemble(tmp_path, capsys):
     assert ens.summary()["m2"] == doc["m2"]
 
 
-def test_simulate_threads_are_byte_identical(tmp_path, capsys):
-    dirs = []
-    for threads, name in ((1, "a"), (2, "b")):
+def test_simulate_threads_are_byte_identical(tmp_path, capsys, monkeypatch):
+    """--threads, or else $TOMOSPECTRA_THREADS, schedules the run and changes no byte.
+
+    120 replicas at n=4 are three stacks, so two workers run them in a pool.
+    """
+    spectra = []
+    for name, threads, env in (("flag", ["--threads", "1"], None), ("env", [], "2"),
+                               ("flag-over-env", ["--threads", "2"], "abc")):
+        if env is None:
+            monkeypatch.delenv(THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(THREADS_ENV, env)
         out = tmp_path / name
         code, _, err = run_cli(
             capsys,
-            "simulate", "--qubits", "2", "--counts", "50", "--reps", "30",
-            "--seed", "11", "--threads", str(threads), "--out", str(out),
+            "simulate", "--qubits", "4", "--counts", "50", "--reps", "120",
+            "--seed", "11", *threads, "--out", str(out),
         )
         assert code == 0, err
-        dirs.append(out)
-    a = (dirs[0] / "spectra.csv").read_bytes()
-    b = (dirs[1] / "spectra.csv").read_bytes()
-    assert a == b
+        spectra.append((out / "spectra.csv").read_bytes())
+    assert spectra[1] == spectra[0] and spectra[2] == spectra[0]
 
 
 SIMULATE_USAGE_ERRORS = [
@@ -169,6 +179,8 @@ SIMULATE_USAGE_ERRORS = [
     # a master seed past 2**64 would replay the stream of seed - 2**64
     (("simulate", "--qubits", "2", "--counts", "50", "--reps", "2",
       "--seed", "18446744073709551616", "--out", "x"), None),
+    (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--out", "x"), "2.5"),
+    (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--out", "x"), "0"),
 ]
 
 
@@ -184,6 +196,8 @@ def test_simulate_usage_errors(tmp_path, capsys, monkeypatch, argv, threads_env)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err
+    if threads_env is not None:  # click names the variable the bad value came from
+        assert THREADS_ENV in err
     assert not out.exists()
 
 

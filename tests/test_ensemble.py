@@ -16,7 +16,6 @@ from tomospectra.ensemble import (
     CHECKSUM_FILE,
     CONFIG_FILE,
     SPECTRA_FILE,
-    THREADS_ENV,
     ChecksumMismatchError,
     DimensionMismatchError,
     EnsembleRunError,
@@ -124,10 +123,43 @@ def test_run_ensemble_shapes_and_rows():
 
 
 def test_run_ensemble_deterministic_across_workers():
-    cfg = small_config(reps=10)
+    cfg = small_config(reps=120, n=4)  # stacks of 50, 50 and 20 replicas
     seq = run_ensemble(cfg, workers=1)
     par = run_ensemble(cfg, workers=3)
     np.testing.assert_array_equal(seq.spectra, par.spectra)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("config, pool_sizes", [
+    (small_config(reps=6), []),  # one stack
+    (small_config(reps=120, n=4), [3]),  # stacks of 50, 50 and 20
+], ids=["one-stack", "three-stacks"])
+def test_a_run_starts_no_more_workers_than_stacks(monkeypatch, config, pool_sizes):
+    import concurrent.futures
+
+    plain = run_ensemble(config, workers=1)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    capped = run_ensemble(config, workers=4)
+    assert RecordingPool.sizes == pool_sizes
+    assert capped.spectra.tobytes() == plain.spectra.tobytes()
 
 
 def test_run_ensemble_builds_the_probability_table_once(monkeypatch):
@@ -265,25 +297,20 @@ def test_run_ensemble_progress_callback():
     assert all(t == 12 for _, t in calls)
 
 
-@pytest.mark.parametrize("workers, env, error", [
-    (None, "2", None),  # workers=None -> env var
-    (0, None, "at least 1"),
-    (None, "abc", "TOMOSPECTRA_THREADS must be a positive integer, got 'abc'"),
-    (None, "2.5", "TOMOSPECTRA_THREADS must be a positive integer, got '2.5'"),
-    (None, "0", "TOMOSPECTRA_THREADS must be a positive integer, got '0'"),
-    (2.7, None, "worker count must be an integer"),
-    (True, None, "worker count must be an integer"),
-    ("2", None, "worker count must be an integer"),
-], ids=["env", "zero", "env-word", "env-float", "env-zero", "float", "bool", "string"])
-def test_run_ensemble_worker_env_and_validation(monkeypatch, workers, env, error):
-    if env is None:
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(THREADS_ENV, env)
+@pytest.mark.parametrize("workers, error", [
+    (1, None),
+    (0, "at least 1"),
+    (2.7, "worker count must be an integer"),
+    (True, "worker count must be an integer"),
+    ("2", "worker count must be an integer"),
+], ids=["one", "zero", "float", "bool", "string"])
+def test_run_ensemble_worker_env_and_validation(monkeypatch, workers, error):
+    """The worker count is an argument only: a stray $TOMOSPECTRA_THREADS is not read."""
+    monkeypatch.setenv("TOMOSPECTRA_THREADS", "abc")
     cfg = small_config(reps=6)
     if error is None:
         ens = run_ensemble(cfg, workers=workers)
-        np.testing.assert_array_equal(ens.spectra, run_ensemble(cfg, workers=1).spectra)
+        np.testing.assert_array_equal(ens.spectra, run_ensemble(cfg).spectra)
     else:
         with pytest.raises(ValueError, match=error):
             run_ensemble(cfg, workers=workers)

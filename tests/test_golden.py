@@ -53,8 +53,8 @@ CASES = {
         "7f7e6c5ddad9539a67f969018ab9ddd99fbcda6c76286d8f04a2553a91ffa78d",
         1,
     ),
-    # 12 replicas at n=4 are one stack, sent as one task to a two-worker
-    # pool: this pins what a worker is sent and rebuilds.
+    # 12 replicas at n=4 are one stack, so a two-worker request runs it in
+    # process: the worker count is capped at the number of stacks.
     # Re-taken for 0.2.0 (table as the estimator's forward map), whose
     # tied Dicke probabilities round differently: c063932f... before.
     "ovc4-dicke-workers2": (

@@ -79,6 +79,25 @@ def test_parameter_validation():
 _FLAT8 = np.full(8, 0.125)
 
 
+@pytest.mark.parametrize("call", [
+    lambda q: StateSpec(kind="ghz_plus_noise", n=2, q=q),
+    lambda q: semicircle_center(2, q),
+    lambda q: SemicircleModel.for_state(3, 100, q, 1),
+    lambda q: min_counts(2, q),
+], ids=["state", "center", "for-state", "min-counts"])
+@pytest.mark.parametrize("q, message", [
+    (True, "must be a number"),
+    ("0.5", "must be a number"),
+    (float("nan"), "must be finite"),
+    (-0.1, "must lie in"),
+    (1.5, "must lie in"),
+])
+def test_signal_weight_is_one_rule(call, q, message):
+    """The laws take q as `StateSpec` does: a real number in [0, 1], not a bool."""
+    with pytest.raises(ValueError, match="signal weight q " + message):
+        call(q)
+
+
 @pytest.mark.parametrize("call, value", [
     (single_qubit_density, 100),
     (lambda n: semicircle_radius(n, 100), 3),
@@ -88,8 +107,11 @@ _FLAT8 = np.full(8, 0.125)
     (SemicircleModel(center=0.1, radius=0.2).central_moment, 4),
     (lambda n: estimate_rank(_FLAT8, n, 100), 3),
     (lambda r: estimate_rank(_FLAT8, 3, 100, max_rank=r), 1),
+    (lambda r: semicircle_center(3, 0.5, r), 1),
+    (lambda r: semicircle_radius(3, 100, r), 1),
+    (lambda r: SemicircleModel.for_state(3, 100, 0.5, r), 2),
 ], ids=["counts", "n", "laplace-n", "min-counts-n", "catalan-k", "moment-k",
-        "rank-n", "max-rank"])
+        "rank-n", "max-rank", "center-rank", "radius-rank", "for-state-rank"])
 def test_integer_arguments_reject_floats_and_bools(call, value):
     """int() would run 3.7 qubits as 3 and True as 1; NumPy integers are integers."""
     for bad in (value + 0.7, True):
