@@ -21,7 +21,7 @@ On disk an ensemble is a plain directory:
     config.json   experiment parameters + schema/code version
     spectra.csv   header ``replica,l_1,...,l_{2^n}``, one row per
                   replica, eigenvalues ascending, 17 significant digits
-    checksum.txt  SHA-256 hex digest of the csv bytes
+    checksum.txt  SHA-256 hex digest of the csv bytes, written last
 
 Loading verifies the checksum and re-validates the spectrum invariants,
 with a distinct error type per failure mode.
@@ -35,6 +35,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 
@@ -393,32 +394,53 @@ def run_ensemble(config, workers=1, progress=None):
     return SpectrumEnsemble(config=config, spectra=rows)
 
 
-def _format_csv(ensemble):
-    dim = ensemble.spectra.shape[1]
-    header = "replica," + ",".join("l_%d" % (k + 1) for k in range(dim))
-    row_format = "%d" + ",%.17g" * dim
-    lines = [header] + [row_format % (i, *row)
-                        for i, row in enumerate(ensemble.spectra.tolist())]
-    return ("\n".join(lines) + "\n").encode("ascii")
+#: at most this many eigenvalues formatted into one block of spectra.csv:
+#: a save holds one block of text at a time, never the whole file
+_CSV_BLOCK_VALUES = 2**12
+
+# the format has no comments, so loadtxt (comments=None) skips only empty
+# lines: a line with any other byte is a row
+_ROW_BYTE = re.compile(rb"[^\r\n]")
+
+
+def _csv_blocks(spectra):
+    """The bytes of spectra.csv: the header, then blocks of rows."""
+    dim = spectra.shape[1]
+    yield ("replica," + ",".join("l_%d" % (k + 1) for k in range(dim)) + "\n").encode("ascii")
+    row_format = "%d" + ",%.17g" * dim + "\n"
+    size = max(1, _CSV_BLOCK_VALUES // dim)
+    for a in range(0, len(spectra), size):
+        rows = spectra[a:a + size].tolist()
+        yield "".join(row_format % (i, *row) for i, row in enumerate(rows, a)).encode("ascii")
 
 
 def save_ensemble(ensemble, path):
-    """Write config.json, spectra.csv and checksum.txt under ``path``."""
+    """Write config.json, spectra.csv and checksum.txt under ``path``.
+
+    An old checksum.txt is removed first and the new one is written
+    last, so a save that fails partway leaves a directory that does not
+    load.  spectra.csv is formatted, written and hashed a block of rows
+    at a time, so a save holds at most one block of text.
+    """
     os.makedirs(path, exist_ok=True)
+    checksum_path = os.path.join(path, CHECKSUM_FILE)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(checksum_path)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
         "config": ensemble.config.to_json(),
     }
-    csv_bytes = _format_csv(ensemble)
-    digest = hashlib.sha256(csv_bytes).hexdigest()
     with open(os.path.join(path, CONFIG_FILE), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    digest = hashlib.sha256()
     with open(os.path.join(path, SPECTRA_FILE), "wb") as fh:
-        fh.write(csv_bytes)
-    with open(os.path.join(path, CHECKSUM_FILE), "w") as fh:
-        fh.write(digest + "\n")
+        for block in _csv_blocks(ensemble.spectra):
+            fh.write(block)
+            digest.update(block)
+    with open(checksum_path, "w") as fh:
+        fh.write(digest.hexdigest() + "\n")
     return path
 
 
@@ -426,10 +448,12 @@ def load_ensemble(path):
     """Read an ensemble directory back; inverse of :func:`save_ensemble`.
 
     Failure modes are kept distinct: ``MalformedEnsembleError`` for
-    missing/truncated/unparseable pieces, ``SchemaVersionError`` for a
+    missing/truncated/unparseable pieces (a directory without
+    checksum.txt is an incomplete save), ``SchemaVersionError`` for a
     version we did not write, ``ChecksumMismatchError`` when the csv
     bytes do not hash to the recorded digest, ``DimensionMismatchError``
-    when row length contradicts the configured qubit count.
+    when row length contradicts the configured qubit count.  The csv
+    bytes are read once and parsed as they are, with no decoded copy.
     """
     try:
         with open(os.path.join(path, CONFIG_FILE), encoding="utf-8") as fh:
@@ -464,19 +488,27 @@ def load_ensemble(path):
         raise ChecksumMismatchError("spectra.csv digest %s != recorded %s"
                                     % (digest, recorded[0]))
 
-    text = csv_bytes.decode("ascii", errors="replace")
-    if not text:
+    if not csv_bytes:
         raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
-    n_cols = len(text.partition("\n")[0].split(","))
+    header_end = csv_bytes.find(b"\n")
+    if header_end < 0:
+        header_end = len(csv_bytes)
+    columns = csv_bytes.count(b",", 0, header_end)  # after the replica column
     dim = 2 ** config.state.n
-    if n_cols - 1 != dim:
+    if columns != dim:
         raise DimensionMismatchError(
             "%s has %d eigenvalue columns but config says 2^%d = %d"
-            % (SPECTRA_FILE, n_cols - 1, config.state.n, dim))
+            % (SPECTRA_FILE, columns, config.state.n, dim))
+    # loadtxt only warns about a file with no row
+    if not _ROW_BYTE.search(csv_bytes, header_end + 1):
+        raise MalformedEnsembleError("%s holds 0 rows but config says %d replicas"
+                                     % (SPECTRA_FILE, config.replicas))
     try:
-        data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
+        data = np.loadtxt(io.BytesIO(csv_bytes), delimiter=",", skiprows=1, ndmin=2,
+                          comments=None, encoding="ascii")
+    except ValueError as exc:  # a UnicodeDecodeError included
         raise MalformedEnsembleError("cannot parse %s: %s" % (SPECTRA_FILE, exc))
+    del csv_bytes  # parsed: free the file's bytes before the rows are checked and copied
     if data.shape[0] != config.replicas:
         raise MalformedEnsembleError(
             "%s holds %d rows but config says %d replicas"

@@ -2,9 +2,11 @@
 
 import functools
 import hashlib
+import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -488,6 +490,93 @@ def test_load_truncated_rows(tmp_path):
     _rewrite_spectra(out, b"")
     with pytest.raises(MalformedEnsembleError, match="is empty"):
         load_ensemble(str(out))
+
+
+def test_load_rejects_a_header_without_rows(tmp_path):
+    """A consistent checksum over no data row is malformed, not a loadtxt warning."""
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    header = (out / SPECTRA_FILE).read_bytes().partition(b"\n")[0]
+    for body in (b"\n", b"\n\n", b"\r\n\n"):
+        _rewrite_spectra(out, header + body)
+        with pytest.raises(MalformedEnsembleError, match="holds 0 rows"):
+            load_ensemble(str(out))
+    # the format has no comment lines: one is a row that does not parse
+    _rewrite_spectra(out, header + b"\n# no rows\n")
+    with pytest.raises(MalformedEnsembleError, match="cannot parse"):
+        load_ensemble(str(out))
+
+
+def test_an_interrupted_overwrite_does_not_load(tmp_path, monkeypatch):
+    """A save that fails before spectra.csv leaves no checksum, so no stale rows load."""
+    import builtins
+
+    import tomospectra.ensemble as ensemble_module
+
+    out = str(tmp_path / "run")
+    save_ensemble(run_ensemble(small_config(reps=3, seed=1)), out)
+
+    def failing_open(file, *args, **kwargs):
+        if os.path.basename(file) == SPECTRA_FILE:
+            raise OSError("disk full")
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_ensemble(run_ensemble(small_config(reps=3, seed=2)), out)
+    monkeypatch.undo()
+    assert not os.path.exists(os.path.join(out, CHECKSUM_FILE))
+    with pytest.raises(MalformedEnsembleError, match=CHECKSUM_FILE):
+        load_ensemble(out)
+
+
+def synthetic_ensemble(n, rows, seed=0):
+    """An ensemble of sorted Dirichlet rows: valid spectra without a run."""
+    dim = 2**n
+    spectra = np.sort(np.random.default_rng(seed).dirichlet(np.ones(dim), size=rows), axis=1)
+    return SpectrumEnsemble(config=small_config(reps=rows, n=n), spectra=spectra)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_spectra_csv_across_block_boundaries(tmp_path, n, extra):
+    """Blocked writes give the bytes of a one-shot formatter, and load to the same bits."""
+    import tomospectra.ensemble as ensemble_module
+
+    rows = ensemble_module._CSV_BLOCK_VALUES // 2**n + extra
+    ens = synthetic_ensemble(n, rows, seed=rows)
+    out = tmp_path / "run"
+    save_ensemble(ens, str(out))
+    expected = io.BytesIO()
+    table = np.column_stack([np.arange(rows), ens.spectra])
+    np.savetxt(expected, table, fmt=["%d"] + ["%.17g"] * 2**n, delimiter=",",
+               header="replica," + ",".join("l_%d" % k for k in range(1, 2**n + 1)),
+               comments="")
+    assert (out / SPECTRA_FILE).read_bytes() == expected.getvalue()
+    assert load_ensemble(str(out)).spectra.tobytes() == ens.spectra.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_store_memory_is_bounded_by_the_file_size(tmp_path):
+    """Saving holds less than the csv file at once, loading less than three times it."""
+    ens = synthetic_ensemble(2, 20000)
+    out = str(tmp_path / "run")
+    save_peak = _traced_peak(save_ensemble, ens, out)
+    load_peak = _traced_peak(load_ensemble, out)
+    size = os.path.getsize(os.path.join(out, SPECTRA_FILE))
+    print("csv %.2f MB, save peak %.2f MB, load peak %.2f MB"
+          % (size / 1e6, save_peak / 1e6, load_peak / 1e6))
+    assert save_peak < 1.0 * size
+    assert load_peak < 3.0 * size
 
 
 def test_load_dimension_mismatch(tmp_path):
