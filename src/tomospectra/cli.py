@@ -265,12 +265,7 @@ def analyze(in_dir, bins, out_dir, fmt):
 
     edges = np.histogram_bin_edges(pooled, bins=bins)
     hist, _ = np.histogram(pooled, bins=edges)
-    widths = np.diff(edges)
-    density = hist / (pooled.size * widths)
-    hist_lines = ["bin_left,bin_right,count,density"]
-    for k in range(bins):
-        hist_lines.append("%.17g,%.17g,%d,%.17g"
-                          % (edges[k], edges[k + 1], hist[k], density[k]))
+    density = hist / (pooled.size * np.diff(edges))
 
     # grid covering both the data range and the model's own scale
     lo = min(pooled[0], model_doc.get("center", pooled[0])
@@ -278,11 +273,6 @@ def analyze(in_dir, bins, out_dir, fmt):
     hi = max(pooled[-1], model_doc.get("center", pooled[-1])
              + 1.2 * model_doc.get("radius", 0.0))
     grid = np.linspace(lo, hi, 513)
-    overlay_lines = ["lambda,pdf,cdf"]
-    pdf = model.pdf(grid)
-    cdf = model.cdf(grid)
-    for x, f, big_f in zip(grid, pdf, cdf):
-        overlay_lines.append("%.17g,%.17g,%.17g" % (x, f, big_f))
 
     doc = ensemble.summary()
     doc["bins"] = bins
@@ -293,10 +283,10 @@ def analyze(in_dir, bins, out_dir, fmt):
         "overlay": os.path.join(out_dir, OVERLAY_FILE),
         "summary": os.path.join(out_dir, SUMMARY_FILE),
     }
-    with open(doc["files"]["histogram"], "w") as fh:
-        fh.write("\n".join(hist_lines) + "\n")
-    with open(doc["files"]["overlay"], "w") as fh:
-        fh.write("\n".join(overlay_lines) + "\n")
+    np.savetxt(doc["files"]["histogram"], np.column_stack([edges[:-1], edges[1:], hist, density]),
+               fmt="%.17g,%.17g,%d,%.17g", header="bin_left,bin_right,count,density", comments="")
+    np.savetxt(doc["files"]["overlay"], np.column_stack([grid, model.pdf(grid), model.cdf(grid)]),
+               fmt="%.17g,%.17g,%.17g", header="lambda,pdf,cdf", comments="")
     with open(doc["files"]["summary"], "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

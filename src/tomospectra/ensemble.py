@@ -213,9 +213,9 @@ class SpectrumEnsemble:
         All replicas' eigenvalues are pooled into one sample and the
         moments are taken about the pooled mean (which sits at 2^-n up to
         sampling error, since the trace of every estimate is one).
-        Returns a dict keyed by moment order.
+        ``k_max`` is an integer >= 2.  Returns a dict keyed by moment order.
         """
-        if k_max < 2:
+        if _integer("k_max", k_max) < 2:
             raise ValueError("k_max must be at least 2")
         centered = self.pooled - self.pooled.mean()
         return {k: float(np.mean(centered**k)) for k in range(2, k_max + 1)}
@@ -301,8 +301,7 @@ def replica_frequencies(probs, model, master_seed, replicas):
 
 def _overcomplete_estimate(probs, model, master_seed, n, replicas):
     freqs = replica_frequencies(probs, model, master_seed, replicas)
-    values, _ = correlations_from_frequencies(freqs, n)
-    return reconstruct_from_values(values, n)
+    return reconstruct_from_values(correlations_from_frequencies(freqs, n), n)
 
 
 def _complete_estimate(frame, intensity, master_seed, replicas):
@@ -330,7 +329,7 @@ def replica_estimator(config):
         frame = build_complete_frame(n)
         # detection intensity: a white-noise state's 4^n probabilities sum to
         # 2^n, so p_v * N_total / 2^n detects N_total events in expectation
-        p_v = np.clip(frame.probabilities(correlation_tensor_values(rho)), 0.0, None)
+        p_v = np.clip(frame.probabilities(correlation_tensor_values(rho, n)), 0.0, None)
         intensity = p_v * (config.total_counts / 2**n)
         return functools.partial(_complete_estimate, frame, intensity, seed)
     probs = setting_probability_table(rho, n)

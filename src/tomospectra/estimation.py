@@ -92,8 +92,8 @@ def correlations_from_frequencies(freqs, n):
     ``freqs`` is one table or a stack of them (leading axes); the rows
     of a table must be ordered by setting index.  Returns the 4**n values
     T~_mu of each table, flat-indexed by Pauli string with the identity
-    entry exactly 1, and the multiplicity 3**j(mu) of each entry (the
-    number of settings that contributed to it).
+    entry exactly 1; each is the mean over the 3**j(mu) settings
+    compatible with mu.
     """
     signed = freqs @ _hadamard_signs(n)  # (..., settings, subsets) signed sums
     mu_index, multiplicity = _subset_maps(n)
@@ -108,7 +108,7 @@ def correlations_from_frequencies(freqs, n):
     sums = np.bincount(index, weights=signed.ravel(), minlength=tables * 4**n)
     values = sums.reshape(batch + (4**n,)) / multiplicity
     values[..., 0] = 1.0  # frequencies are normalized, force exactness
-    return values, multiplicity
+    return values
 
 
 def setting_probability_table(rho, n):

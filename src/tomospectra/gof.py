@@ -148,14 +148,16 @@ def anderson_darling(sample, model_cdf):
     return float(statistic), a2_null_sf(statistic)
 
 
-def sup_cdf_distance(sorted_values, cdf):
+def sup_cdf_distance(sample, cdf):
     """Kolmogorov distance between the empirical CDF and a model CDF.
 
-    ``sorted_values`` must be ascending; the empirical CDF steps from
-    (i-1)/m to i/m at the i-th value, and both sides of every step count.
+    ``sample`` is sorted internally; the empirical CDF steps from
+    (i-1)/m to i/m at the i-th smallest value, and both sides of every
+    step count.
     """
-    m = sorted_values.size
-    theory = np.asarray(cdf(sorted_values), dtype=float)
+    x = np.sort(np.asarray(sample, dtype=float))
+    m = x.size
+    theory = np.asarray(cdf(x), dtype=float)
     upper = np.abs(np.arange(1, m + 1) / m - theory).max()
     lower = np.abs(np.arange(0, m) / m - theory).max()
     return float(max(upper, lower))
@@ -182,14 +184,14 @@ class RankCandidate:
 
 @dataclass(frozen=True)
 class RankTestReport:
-    """All candidate rows plus the accepted rank (None if nothing passed)."""
+    """All candidate rows plus the accepted rank (None if nothing passed).
+
+    ``candidates[r]`` is the row of candidate rank r.
+    """
 
     candidates: tuple
     chosen_rank: int
     significance: float
-
-    def candidate(self, r):
-        return self.candidates[r]
 
     def to_json(self):
         return {
@@ -293,7 +295,7 @@ def reconstruct_physical_estimate(eigenvalues, eigenvectors, report):
     if np.any(np.diff(eigenvalues) < 0) or eigenvectors.shape != (dim, dim):
         raise ValueError("eigenvalues must be ascending and match the vectors")
     r = report.chosen_rank
-    c = report.candidate(r).center
+    c = report.candidates[r].center
     floored = np.full(dim, c)
     if r > 0:
         floored[dim - r :] = eigenvalues[dim - r :]

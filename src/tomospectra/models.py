@@ -79,8 +79,9 @@ class SemicircleModel:
             raise ValueError("radius must be positive")
 
     @classmethod
-    def for_noise(cls, n, counts, q=0.0, r=0):
-        return cls(semicircle_center(n, q, r), semicircle_radius(n, counts, r))
+    def for_noise(cls, n, counts):
+        """The white-noise bulk: center 2**-n and the unshrunk radius R_0."""
+        return cls(semicircle_center(n), semicircle_radius(n, counts))
 
     @classmethod
     def for_state(cls, n, counts, q, r):
@@ -88,7 +89,7 @@ class SemicircleModel:
 
         A single signal eigenvalue barely deforms the bulk, so r = 1 with
         q > 0 keeps the unshrunk radius; any other r gets the rank
-        correction, as in `for_noise`.
+        correction R_r.
         """
         center = semicircle_center(n, q, r)  # checks q and r before they are compared
         return cls(center, semicircle_radius(n, counts, 0 if r == 1 and q > 0 else r))
@@ -224,40 +225,49 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 @dataclass(frozen=True)
 class SingleQubitModel:
-    """Exact one-qubit eigenvalue density at N events per setting.
+    """Exact one-qubit eigenvalue density at N = ``counts`` events per setting.
 
     g(lambda) = C exp(-(1 - 2 lambda)**2 N / 2) (1 - 2 lambda)**2, the
     distribution of (1 +- |T~|)/2 with the three correlation estimates
     fluctuating like independent Gaussians of variance 1/N.  The
-    normalization C = sqrt(2/pi) N**1.5 makes its integral over the real
-    line exactly 1.
+    normalization C = sqrt(2/pi) N**1.5 is derived from N, an integer
+    >= 1, so the density always integrates to exactly 1.  At -inf and
+    +inf the pdf is 0 and the cdf is 0 and 1.
     """
 
     counts: int
-    normalization: float
+
+    def __post_init__(self):
+        if _integer("counts", self.counts) < 1:
+            raise ValueError("counts must be >= 1")
+        object.__setattr__(self, "counts", int(self.counts))
+
+    @property
+    def normalization(self):
+        return math.sqrt(2.0 / math.pi) * self.counts**1.5
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        u = 1.0 - 2.0 * x
+        at_inf = np.isinf(x)
+        u = 1.0 - 2.0 * np.where(at_inf, 0.0, x)  # the limits at +-inf are set below
         out = self.normalization * np.exp(-0.5 * u**2 * self.counts) * u**2
+        out = np.where(at_inf, 0.0, out)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
         # integral of the pdf, in erfc form
         x = np.asarray(x, dtype=float)
+        at_inf = np.isinf(x)
         a = 0.5 * self.counts
-        u = 1.0 - 2.0 * x
+        u = 1.0 - 2.0 * np.where(at_inf, 0.0, x)  # the limits at +-inf are set below
         erfc = np.asarray(_ERFC(math.sqrt(a) * u), dtype=float)
         tail = u * np.exp(-a * u**2) / (2.0 * a) + (
             math.sqrt(math.pi) / (4.0 * a**1.5)
         ) * erfc
-        out = 0.5 * self.normalization * tail
+        out = np.where(at_inf, x > 0, 0.5 * self.normalization * tail)
         return out if out.ndim else float(out)
 
 
 def single_qubit_density(counts):
     """Build the exact single-qubit eigenvalue model for N events per setting."""
-    counts = _integer("counts", counts)
-    if counts < 1:
-        raise ValueError("counts must be >= 1")
-    return SingleQubitModel(counts=counts, normalization=math.sqrt(2.0 / math.pi) * counts**1.5)
+    return SingleQubitModel(counts)

@@ -174,8 +174,8 @@ def _known_keys(block, doc, known):
         raise ValueError("unknown %s keys %r" % (block, sorted(extra)))
 
 
-def check_density_matrix(rho, n=None):
-    """Validate the density-matrix contract (Hermitian, trace 1, 2**n dim).
+def check_density_matrix(rho, n):
+    """Validate the density-matrix contract (Hermitian, trace 1, 2**n dim) of n qubits.
 
     Positivity is not checked: unphysical linear estimates are first-class
     citizens here.  Raises ValueError on violation, returns the matrix.
@@ -184,8 +184,6 @@ def check_density_matrix(rho, n=None):
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square, got shape %r" % (rho.shape,))
     dim = rho.shape[0]
-    if n is None:
-        n = dim.bit_length() - 1
     if dim != 2**n:
         raise ValueError("dimension %d is not 2**%d" % (dim, n))
     if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
@@ -329,14 +327,12 @@ def build_state(spec):
 # ---------------------------------------------------------------------------
 
 
-def correlation_tensor_values(rho, n=None):
-    """All 4**n exact expectation values tr(rho sigma_mu), flat-indexed.
+def correlation_tensor_values(rho, n):
+    """All 4**n exact expectation values tr(rho sigma_mu) of an n-qubit rho, flat-indexed.
 
     Computed by contracting the register tensor with the Pauli stack one
     qubit at a time, so no 4**n x 4**n matrix is ever formed.
     """
-    if n is None:
-        n = rho.shape[0].bit_length() - 1
     values = apply_per_qubit(_READ_PAULI, qubit_entries(rho, n), n)
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("correlation tensor has a non-negligible imaginary part")

@@ -190,13 +190,13 @@ def test_criterion_08_rank_iteration_table():
     expected_radii = [0.076317, 0.075719, 0.075115, 0.074507,
                       0.073894, 0.073275]
     for r in range(6):
-        assert report.candidate(r).center == pytest.approx(
+        assert report.candidates[r].center == pytest.approx(
             expected_centers[r], abs=1e-6
         ), "center mismatch at rank %d" % r
-        assert report.candidate(r).radius == pytest.approx(
+        assert report.candidates[r].radius == pytest.approx(
             expected_radii[r], abs=1e-6
         ), "radius mismatch at rank %d" % r
-    assert report.candidate(4).center < 0.0  # rejected outright
+    assert report.candidates[4].center < 0.0  # rejected outright
 
     ens = ts.run_ensemble(
         ts.ExperimentConfig.overcomplete(
@@ -212,7 +212,7 @@ def test_criterion_08_rank_iteration_table():
     assert hits / 200 >= 0.90
     print("criterion 8 PASS: table centers/radii match to 1e-6 for r=0..5 "
           "(r=4 center %.6f < 0 rejected); rank-3 recovery = %d/200 (>= 0.90)"
-          % (report.candidate(4).center, hits))
+          % (report.candidates[4].center, hits))
 
 
 def test_criterion_09_correlation_variances():
@@ -228,7 +228,7 @@ def test_criterion_09_correlation_variances():
     model = ts.CountModel(ts.MULTINOMIAL, 300)
     reps = 10**4
     freqs = ts.replica_frequencies(probs, model, 9, range(reps))
-    values, _ = ts.correlations_from_frequencies(freqs, 2)
+    values = ts.correlations_from_frequencies(freqs, 2)
     j_index = (digits(np.arange(16), 4, 2) == 0).sum(axis=1)  # identity factors
     variances = values.var(axis=0, ddof=1)
     full = variances[j_index == 0] * 300.0        # ratio to 1/N

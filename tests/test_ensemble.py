@@ -424,6 +424,11 @@ def test_moments_by_hand():
     assert ens.moments(2) == {2: m[2]}
     with pytest.raises(ValueError, match="k_max"):
         ens.moments(1)
+    # the order is an integer: no truncated float, no bool standing in for 1
+    assert ens.moments(np.int64(3)) == {k: m[k] for k in (2, 3)}
+    for bad in (6.0, True, "4"):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            ens.moments(bad)
 
 
 def test_summary_contents():

@@ -69,18 +69,15 @@ def test_exact_frequencies_give_exact_correlations():
     """Noise-free inversion: plugging in Born probabilities returns T_mu."""
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=3, q=0.65))
     table = setting_probability_table(rho, 3)
-    values, multiplicity = correlations_from_frequencies(table, 3)
-    np.testing.assert_allclose(values, correlation_tensor_values(rho), atol=1e-10)
-    # multiplicity must be 3**j
-    for idx in range(64):
-        assert multiplicity[idx] == 3 ** base_digits(idx, 4, 3).count(0)
+    values = correlations_from_frequencies(table, 3)
+    np.testing.assert_allclose(values, correlation_tensor_values(rho, 3), atol=1e-10)
 
 
 def test_correlations_match_brute_force_oracle():
     rng = np.random.default_rng(123)
     for n in (1, 2, 3):
         freqs = rng.dirichlet(np.ones(2**n), size=3**n)
-        values, _ = correlations_from_frequencies(freqs, n)
+        values = correlations_from_frequencies(freqs, n)
         expected = brute_force_correlations(freqs, n)
         # the library forces the identity entry to exactly 1
         expected[0] = 1.0
@@ -89,7 +86,7 @@ def test_correlations_match_brute_force_oracle():
 
 def test_reconstruction_round_trip():
     rho = build_state(StateSpec(kind="rank_r_plus_noise", n=3, q=0.8, r=2, seed=5))
-    values = correlation_tensor_values(rho)
+    values = correlation_tensor_values(rho, 3)
     rebuilt = reconstruct_from_values(values, 3)
     np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
 
@@ -97,7 +94,7 @@ def test_reconstruction_round_trip():
 def test_reconstruct_from_exact_frequencies():
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=2, q=0.4))
     table = setting_probability_table(rho, 2)
-    values, _ = correlations_from_frequencies(table, 2)
+    values = correlations_from_frequencies(table, 2)
     np.testing.assert_allclose(reconstruct_from_values(values, 2), rho, atol=1e-10)
 
 
@@ -163,12 +160,12 @@ def test_complete_frame_dense_transfer_invertibility(n):
 def test_complete_frame_projector_probabilities():
     frame = build_complete_frame(2)
     rho = build_state(StateSpec(kind="white_noise", n=2))
-    p = frame.probabilities(correlation_tensor_values(rho))
+    p = frame.probabilities(correlation_tensor_values(rho, 2))
     # every rank-1 projector sees tr(P/4) = 1/4 on white noise
     np.testing.assert_allclose(p, 0.25, atol=1e-12)
     # and p_v = <v|rho|v> for the product ket v, qubit 0 leftmost, on any state
     rho = build_state(StateSpec(kind="rank_r_plus_noise", n=2, q=0.7, r=2, seed=4))
-    p = frame.probabilities(correlation_tensor_values(rho))
+    p = frame.probabilities(correlation_tensor_values(rho, 2))
     for v in range(16):
         ket = kron_all(FRAME_KETS[digits(v, 4, 2)])
         assert p[v] == pytest.approx((ket.conj() @ rho @ ket).real, abs=1e-12)
@@ -177,7 +174,7 @@ def test_complete_frame_projector_probabilities():
 def test_estimate_complete_inverts_exact_data():
     rho = build_state(StateSpec(kind="pure_plus_noise", n=2, q=0.55, seed=9))
     frame = build_complete_frame(2)
-    p = frame.probabilities(correlation_tensor_values(rho))
+    p = frame.probabilities(correlation_tensor_values(rho, 2))
     rebuilt = estimate_complete(frame, p * 1000.0)
     np.testing.assert_allclose(rebuilt, rho, atol=1e-10)
     # the trace normalization makes the estimate independent of the counts' scale
@@ -212,7 +209,7 @@ def test_estimator_outputs_stay_in_range(seed):
     """Any normalized frequency table yields correlations in [-1, 1]."""
     rng = np.random.default_rng(seed)
     freqs = rng.dirichlet(np.ones(4), size=9)
-    values, _ = correlations_from_frequencies(freqs, 2)
+    values = correlations_from_frequencies(freqs, 2)
     assert values[0] == 1.0
     assert np.abs(values).max() <= 1.0 + 1e-12
     # reconstruction keeps trace exactly 1 and hermiticity by construction

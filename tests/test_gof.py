@@ -239,7 +239,7 @@ def test_estimate_rank_accepts_pure_noise():
     eigs = noise_spectrum(rng, n, counts)
     report = estimate_rank(eigs, n, counts)
     assert report.chosen_rank == 0
-    c0 = report.candidate(0)
+    c0 = report.candidates[0]
     assert c0.in_support
     assert c0.p_eff == c0.p_value >= report.significance
     assert c0.center == pytest.approx(eigs.mean(), rel=1e-12)
@@ -253,9 +253,9 @@ def test_estimate_rank_finds_single_signal():
     report = estimate_rank(eigs, n, counts, max_rank=3)
     assert report.chosen_rank == 1
     # r = 0 must fail: the signal eigenvalue sits far outside the band
-    assert not report.candidate(0).in_support
-    assert report.candidate(0).p_eff == 0.0
-    assert report.candidate(1).signal_count == 1
+    assert not report.candidates[0].in_support
+    assert report.candidates[0].p_eff == 0.0
+    assert report.candidates[1].signal_count == 1
     # the report is JSON-serializable with native types
     doc = report.to_json()
     assert doc["chosen_rank"] == 1
@@ -279,7 +279,7 @@ def test_estimate_rank_treats_a_nan_eigenvalue_as_out_of_band():
     with_nan[-1], with_outlier[-1] = math.nan, 0.9
     report = estimate_rank(with_nan, 3, 1000)
     reference = estimate_rank(with_outlier, 3, 1000)
-    c0 = report.candidate(0)
+    c0 = report.candidates[0]
     assert not c0.in_support and c0.p_eff == 0.0
     assert math.isnan(c0.statistic) and math.isnan(c0.p_value)
     assert report.chosen_rank == reference.chosen_rank == 1
@@ -372,3 +372,12 @@ def test_unphysical_fraction_counting():
 def test_sup_cdf_distance_one_point():
     # the empirical CDF jumps from 0 to 1 at 0.5, where the uniform CDF is 0.5
     assert sup_cdf_distance(np.array([0.5]), lambda x: x) == 0.5
+
+
+def test_sup_cdf_distance_sorts_its_sample():
+    # uniform on [0, 0.3]: the model CDF meets the top of every step and
+    # misses its bottom by 1/3 (taken unsorted, the steps mismatch and read 1.0)
+    uniform = lambda x: x / 0.3  # noqa: E731
+    assert sup_cdf_distance([0.3, 0.1, 0.2], uniform) == pytest.approx(1.0 / 3.0)
+    assert sup_cdf_distance([0.3, 0.1, 0.2], uniform) == sup_cdf_distance(
+        np.array([0.1, 0.2, 0.3]), uniform)

@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of the ``spectra.csv`` bytes ``save_ensemble`` writes.
+"""Golden SHA-256 digests of the ``spectra.csv`` bytes ``save_ensemble`` writes,
+and of the three files ``analyze`` writes from a stored ensemble.
 
 Byte-level reproducibility is a contract: a fixed configuration and
 master seed must give the same file, bit for bit, whatever the code
@@ -18,6 +19,7 @@ import hashlib
 import pytest
 
 import tomospectra as ts
+from tomospectra.cli import HISTOGRAM_FILE, OVERLAY_FILE, SUMMARY_FILE, main
 
 CASES = {
     "ovc1-multinomial": (
@@ -108,3 +110,54 @@ def test_spectra_csv_digest(name, tmp_path):
     ts.save_ensemble(ts.run_ensemble(make_config(), workers=workers), tmp_path)
     data = (tmp_path / "spectra.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# ``analyze`` on one small ensemble per overlay family: the SHA-256 of
+# histogram.csv, overlay.csv and summary.json.  The run happens in a
+# temporary working directory with relative paths, so summary.json's
+# file paths are the same on every run.
+ANALYZE_CASES = {
+    "single_qubit": (
+        lambda: ts.ExperimentConfig.overcomplete(
+            ts.StateSpec(kind="white_noise", n=1),
+            ts.CountModel(ts.MULTINOMIAL, 100), replicas=30, master_seed=5),
+        (
+            "b35e493b88444438ac859ec618365c2f391b8b631808ae874e1bdb09fd1a9ffe",
+            "f82c3e65789aec77a94209e384bc2f2b79d6a4b95263011fde052dbabf590111",
+            "57e3c5897dc13630ead68d24f8ce84f99b66955820b4329698da3c8ae13d1bb4",
+        ),
+    ),
+    "semicircle": (
+        lambda: ts.ExperimentConfig.overcomplete(
+            ts.StateSpec(kind="ghz_plus_noise", n=3, q=0.6),
+            ts.CountModel(ts.MULTINOMIAL, 200), replicas=20, master_seed=6),
+        (
+            "eede16bb567728cec0dbc87fd90564ddfd39b91e0d3f2f525a6d4716971a6dc0",
+            "93b57f61ca721c50311209adc070b512f7d0360a87e0f1039410df80a2bd6e84",
+            "a53e54b888496d8acf1f28d9186789652762caea7e9fd420f940cc41f6d8ada1",
+        ),
+    ),
+    "laplace": (
+        lambda: ts.ExperimentConfig.complete(
+            ts.StateSpec(kind="white_noise", n=2), 3e4, replicas=20,
+            master_seed=7),
+        (
+            "f087518e5db05549a58dbc12656dfaec42781a26b9dce6dff0d2dd66b611e92b",
+            "8455d7baba75e08955f92bab405eeb7c2f3b9fb8cc36f5e9487192aa4656fdb3",
+            "4e9132f789484796e67ceb2bc5561bc86c2068cc2cee78e235b12fa830492696",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
+def test_analyze_file_digests(name, tmp_path, monkeypatch):
+    make_config, digests = ANALYZE_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    ts.save_ensemble(ts.run_ensemble(make_config()), "ens")
+    assert main(["analyze", "--in", "ens", "--out", "out", "--bins", "16",
+                 "--format", "json"]) == 0
+    files = (HISTOGRAM_FILE, OVERLAY_FILE, SUMMARY_FILE)
+    got = tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+                for f in files)
+    assert got == digests

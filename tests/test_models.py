@@ -55,10 +55,13 @@ def test_for_state_keeps_unshrunk_radius_for_one_signal_eigenvalue():
     assert single.center == semicircle_center(6, 0.8, 1)
     assert single.radius == semicircle_radius(6, 230, 0)
     # r > 1, or r = 1 without signal weight, gets the rank correction
-    assert SemicircleModel.for_state(6, 230, 0.8, 3) == SemicircleModel.for_noise(
-        6, 230, q=0.8, r=3)
-    assert SemicircleModel.for_state(6, 230, 0.0, 1) == SemicircleModel.for_noise(
-        6, 230, r=1)
+    assert SemicircleModel.for_state(6, 230, 0.8, 3) == SemicircleModel(
+        semicircle_center(6, 0.8, 3), semicircle_radius(6, 230, 3))
+    assert SemicircleModel.for_state(6, 230, 0.0, 1) == SemicircleModel(
+        semicircle_center(6, 0.0, 1), semicircle_radius(6, 230, 1))
+    # the white-noise bulk is the q = 0, r = 0 state
+    assert SemicircleModel.for_noise(6, 230) == SemicircleModel.for_state(6, 230, 0.0, 0)
+    assert SemicircleModel.for_noise(6, 230) == SemicircleModel(2.0**-6, semicircle_radius(6, 230))
 
 
 def test_parameter_validation():
@@ -231,13 +234,13 @@ def test_min_counts_divergence():
 def test_physicality_probability_saturates_at_threshold():
     n, q = 6, 0.8
     n0 = min_counts(n, q)
-    model = SemicircleModel.for_noise(n, n0, q=q, r=1)
+    model = SemicircleModel(semicircle_center(n, q, 1), semicircle_radius(n, n0, 1))
     assert model.center - model.radius > 0  # threshold really clears zero
     assert physicality_probability(model, n) == 1.0
 
 
 def test_physicality_probability_below_threshold():
-    model = SemicircleModel.for_noise(6, 120000, q=0.8, r=1)
+    model = SemicircleModel(semicircle_center(6, 0.8, 1), semicircle_radius(6, 120000, 1))
     assert model.center - model.radius < 0
     p = physicality_probability(model, 6)
     assert 0.0 < p < 1.0
@@ -356,6 +359,23 @@ def test_single_qubit_pdf_cdf():
         assert model.cdf(x) == pytest.approx(val, abs=1e-8)
 
 
+def test_single_qubit_limits_at_infinity():
+    # a RuntimeWarning fails the test too (pytest turns warnings into errors)
+    model = single_qubit_density(100)
+    assert model.pdf(np.inf) == 0.0 and model.pdf(-np.inf) == 0.0
+    assert model.cdf(-np.inf) == 0.0 and model.cdf(np.inf) == 1.0
+    x = np.array([-np.inf, 0.4, np.inf])
+    np.testing.assert_array_equal(model.pdf(x), [0.0, model.pdf(0.4), 0.0])
+    np.testing.assert_array_equal(model.cdf(x), [0.0, model.cdf(0.4), 1.0])
+    assert math.isnan(model.pdf(np.nan)) and math.isnan(model.cdf(np.nan))
+
+
 def test_single_qubit_validation():
     with pytest.raises(ValueError):
         single_qubit_density(0)
+    # the model itself holds only N, so every instance integrates to 1
+    for bad in (0, -3, 1.5, True):
+        with pytest.raises(ValueError, match="counts must be"):
+            SingleQubitModel(bad)
+    with pytest.raises(TypeError):
+        SingleQubitModel(100, 1.0)

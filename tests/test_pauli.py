@@ -186,8 +186,13 @@ def test_pauli_matrix_small_cases():
 def test_check_density_matrix_contract():
     rho = np.eye(2) / 2
     check_density_matrix(rho, 1)
-    with pytest.raises(ValueError):
-        check_density_matrix(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="dimension 3 is not 2"):
+        check_density_matrix(np.eye(3) / 3, 1)
+    # the register size is the caller's, never inferred from the shape
+    with pytest.raises(ValueError, match="dimension 4 is not 2"):
+        check_density_matrix(np.eye(4) / 4, 1)
+    with pytest.raises(TypeError):
+        check_density_matrix(rho)
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]), 1)
     with pytest.raises(ValueError):
@@ -304,7 +309,7 @@ def test_build_state_mixing_and_spectra():
 
 def test_pauli_expectations_of_ghz():
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=3, q=1.0))
-    values = correlation_tensor_values(rho)
+    values = correlation_tensor_values(rho, 3)
     assert values[from_digits([3, 3, 0], 4)] == pytest.approx(1.0)
     assert values[from_digits([1, 1, 1], 4)] == pytest.approx(1.0)
     # an odd number of Y's flips the sign under the GHZ parity
@@ -402,7 +407,7 @@ def test_probability_table_hygiene():
 def test_correlation_tensor_values_against_trace_route():
     """Dual route: the tensor contraction must equal per-string traces."""
     rho = build_state(StateSpec(kind="rank_r_plus_noise", n=3, q=0.75, r=3, seed=2))
-    values = correlation_tensor_values(rho)
+    values = correlation_tensor_values(rho, 3)
     assert values.shape == (64,)
     assert values[0] == pytest.approx(1.0)
     for idx, labels in enumerate(digits(np.arange(64), 4, 3)):
@@ -412,7 +417,7 @@ def test_correlation_tensor_values_against_trace_route():
 def test_correlation_reconstruction_identity():
     # rho = 2^-n sum_mu T_mu sigma_mu recovers the state exactly
     rho = build_state(StateSpec(kind="ghz_plus_noise", n=2, q=0.6))
-    values = correlation_tensor_values(rho)
+    values = correlation_tensor_values(rho, 2)
     rebuilt = sum(values[i] * kron_all(SIGMA[digits(i, 4, 2)]) for i in range(16)) / 4
     np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
 
