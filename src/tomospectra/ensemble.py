@@ -12,9 +12,9 @@ function of its configuration: the same master seed gives bit-identical
 rows no matter how replicas are scheduled over worker processes.  The
 chain up to the estimate is written once, in `replica_estimator` (with
 the count draws in `replica_frequencies`), and runs on a stack of
-replicas at a time: one generator, one Walsh-Hadamard product, one
-reconstruction and one `eigvalsh` call per stack.  The runner and every
-replay of a single replica go through it.
+replicas at a time: one generator, one per-qubit map from frequencies
+to correlation values, one reconstruction and one `eigvalsh` call per
+stack.  The runner and every replay of a single replica go through it.
 
 On disk an ensemble is a plain directory:
 

@@ -1,8 +1,8 @@
 """Linear state estimation: counts -> correlations -> matrix.
 
 Flat indices, tensor products and per-qubit maps go through the register
-helpers of `tomospectra.pauli` (`digits`/`from_digits`, `from_qubit_entries`,
-`kron_all`, `apply_per_qubit`); this module decodes no digits itself.
+helpers of `tomospectra.pauli` (`qubit_entries`/`from_qubit_entries`,
+`apply_per_qubit`); this module decodes no digits itself.
 
 Overcomplete local scheme
 -------------------------
@@ -15,13 +15,13 @@ estimate T~_mu is the unweighted mean over the compatible settings (all
 settings collect the same number of events, making uniform weights
 optimal), which cuts the variance to 1/(3**j N).
 
-The signed sums for all subsets at once are a Walsh-Hadamard transform of
-the frequency vector, so the whole correlation tensor costs one
-(3**n, 2**n) x (2**n, 2**n) matrix product plus a scatter-add.  The
-exact outcome probabilities the counts are drawn from go the other way
-through the same index and the same (self-inverse up to 2**n) transform:
-a gather of the exact correlation values and one matrix product
-(`setting_probability_table`).
+That mean factorizes qubit by qubit.  Read per qubit as (direction,
+outcome) pairs, a frequency table is a vector of 6**n entries
+(`qubit_entries`), and one real (4, 6) block on each qubit axis takes it
+to the 4**n correlation values: the identity averages the three
+directions, label d is the signed sum of direction d.  The exact outcome
+probabilities the counts are drawn from go the other way through the
+(6, 4) block (T_0 +- T_d) / 2 (`setting_probability_table`).
 Reconstruction applies the single-qubit map from Pauli coefficients to
 matrix entries on each qubit axis (`apply_per_qubit`).
 
@@ -36,7 +36,6 @@ then Pauli coefficients to entries), normalized to unit trace by the
 counts alone; no dense matrix and no correlation vector is formed.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,43 +46,18 @@ from .pauli import (
     _dense_qubits,
     apply_per_qubit,
     correlation_tensor_values,
-    digits,
-    from_digits,
     from_qubit_entries,
     kron_all,
+    qubit_entries,
 )
 
-# ---------------------------------------------------------------------------
-# Precomputed index machinery (cached per qubit number)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _hadamard_signs(n):
-    """H[S, r] = prod_{k in S} r_k as a (2**n, 2**n) +-1 matrix.
-
-    S is a subset of qubits encoded as a bitmask (bit n-1-k for qubit k,
-    matching the outcome index convention), r an outcome index.
-    """
-    return kron_all([np.array([[1.0, 1.0], [1.0, -1.0]])] * n)
-
-
-@lru_cache(maxsize=None)
-def _subset_maps(n):
-    """Index plumbing for the scatter-add from settings to Pauli strings.
-
-    Returns (mu_index, multiplicity): mu_index[s, S] is the flat Pauli
-    index measured by setting s restricted to subset S; multiplicity[mu]
-    counts the settings compatible with mu, i.e. 3**j(mu).
-    """
-    directions = digits(np.arange(3**n), 3, n) + 1  # (settings, qubits)
-    mu_index = np.empty((3**n, 2**n), dtype=np.int64)
-    # column S keeps each setting's directions on S and the identity elsewhere
-    for subset, in_subset in enumerate(digits(np.arange(2**n), 2, n)):
-        mu_index[:, subset] = from_digits(directions * in_subset, 4)
-    # each compatible setting reaches mu exactly once, through mu's support
-    multiplicity = np.bincount(mu_index.ravel(), minlength=4**n)
-    return mu_index, multiplicity
+# per qubit, row d - 1 holds (-1)**outcome on the two outcomes of direction d
+_SIGNS = kron_all([np.eye(3), [1.0, -1.0]])
+# per qubit, (direction, outcome) frequencies to Pauli coefficients: the
+# identity averages the three directions, label d is direction d's signed sum
+_FREQUENCY_PAULI = np.vstack([np.full(6, 1 / 3), _SIGNS])
+# per qubit, Pauli coefficients to outcome probabilities (T_0 +- T_d) / 2
+_PAULI_FREQUENCY = np.hstack([np.ones((6, 1)), _SIGNS.T]) / 2
 
 
 def correlations_from_frequencies(freqs, n):
@@ -93,20 +67,9 @@ def correlations_from_frequencies(freqs, n):
     of a table must be ordered by setting index.  Returns the 4**n values
     T~_mu of each table, flat-indexed by Pauli string with the identity
     entry exactly 1; each is the mean over the 3**j(mu) settings
-    compatible with mu.
+    compatible with mu, one (4, 6) block per qubit axis.
     """
-    signed = freqs @ _hadamard_signs(n)  # (..., settings, subsets) signed sums
-    mu_index, multiplicity = _subset_maps(n)
-    batch = signed.shape[:-2]
-    tables = math.prod(batch)
-    # one scatter-add for the stack: table b fills bins [b * 4**n, (b+1) * 4**n);
-    # a single table (every n=6 stack) scatters through the cached index as is,
-    # which keeps a 729 x 64 index temporary out of the n=6 peak memory
-    index = mu_index.ravel()
-    if tables > 1:
-        index = (index + np.arange(0, tables * 4**n, 4**n)[:, None]).ravel()
-    sums = np.bincount(index, weights=signed.ravel(), minlength=tables * 4**n)
-    values = sums.reshape(batch + (4**n,)) / multiplicity
+    values = apply_per_qubit(_FREQUENCY_PAULI, qubit_entries(freqs, n), n)
     values[..., 0] = 1.0  # frequencies are normalized, force exactness
     return values
 
@@ -115,17 +78,16 @@ def setting_probability_table(rho, n):
     """(3**n, 2**n) table of the exact outcome probabilities of every setting.
 
     The forward map of `correlations_from_frequencies`: outcome r of
-    setting s projects onto prod_k (1 + r_k sigma_{s_k}) / 2, so
-    p_r^s = 2**-n sum_S (prod_{k in S} r_k) T_{mu(s, S)}.  That is one
-    gather of the exact correlation values through the cached subset
-    index and one Walsh-Hadamard product.  Roundoff negatives down to
-    -1e-12 are clipped to zero and each row renormalized, so every row
-    is a valid sampling distribution; anything lower, or a row that does
-    not sum to 1 within 1e-10, raises.  Runs build the table once
+    setting s projects onto prod_k (1 + r_k sigma_{s_k}) / 2, so one
+    (6, 4) block per qubit axis, (T_0 +- T_d) / 2, takes the exact
+    correlation values to the table.  Roundoff negatives down to -1e-12
+    are clipped to zero and each row renormalized, so every row is a
+    valid sampling distribution; anything lower, or a row that does not
+    sum to 1 within 1e-10, raises.  Runs build the table once
     (`replica_estimator`).
     """
-    mu_index, _ = _subset_maps(n)
-    probs = correlation_tensor_values(rho, n)[mu_index] @ _hadamard_signs(n) / 2**n
+    values = correlation_tensor_values(rho, n)
+    probs = from_qubit_entries(apply_per_qubit(_PAULI_FREQUENCY, values, n), n)
     if probs.min() < -1e-12:
         raise ValueError("probabilities below tolerance: min %g" % probs.min())
     probs = np.clip(probs, 0.0, None)

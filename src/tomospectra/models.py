@@ -192,15 +192,20 @@ class LaplaceModel:
         if self.alpha <= 0:
             raise ValueError("decay rate alpha must be positive")
 
+    def _decay(self, x):
+        # alpha |x - c|, capped at 746 where exp(-746) has underflowed to 0,
+        # so no far tail overflows
+        return self.alpha * np.minimum(np.abs(x - self.center), 746.0 / self.alpha)
+
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * self.alpha * np.exp(-self.alpha * np.abs(x - self.center))
+        out = 0.5 * self.alpha * np.exp(-self._decay(np.asarray(x, dtype=float)))
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        # one decaying exponential for both sides: the growing one overflows
         x = np.asarray(x, dtype=float)
-        z = x - self.center
-        out = np.where(z < 0, 0.5 * np.exp(self.alpha * z), 1.0 - 0.5 * np.exp(-self.alpha * z))
+        half = 0.5 * np.exp(-self._decay(x))
+        out = np.where(x - self.center < 0, half, 1.0 - half)
         return out if out.ndim else float(out)
 
     @property
@@ -223,6 +228,13 @@ def laplace_model(n, total_counts):
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
+def _capped_u(x):
+    # 1 - 2x with |1 - 2x| capped at 40: from there on exp(-N u**2 / 2)
+    # underflows and erfc saturates for every N >= 1, so the one-qubit pdf
+    # and cdf already hold their limiting bits and no |x| can overflow
+    return 1.0 - 2.0 * np.clip(x, -19.5, 20.5)
+
+
 @dataclass(frozen=True)
 class SingleQubitModel:
     """Exact one-qubit eigenvalue density at N = ``counts`` events per setting.
@@ -231,8 +243,9 @@ class SingleQubitModel:
     distribution of (1 +- |T~|)/2 with the three correlation estimates
     fluctuating like independent Gaussians of variance 1/N.  The
     normalization C = sqrt(2/pi) N**1.5 is derived from N, an integer
-    >= 1, so the density always integrates to exactly 1.  At -inf and
-    +inf the pdf is 0 and the cdf is 0 and 1.
+    >= 1, so the density always integrates to exactly 1.  Outside
+    [-19.5, 20.5] the pdf is 0 and the cdf 0 on the left; on the right
+    the cdf is 1 to within an ulp, and exactly 1 at +inf.
     """
 
     counts: int
@@ -247,24 +260,21 @@ class SingleQubitModel:
         return math.sqrt(2.0 / math.pi) * self.counts**1.5
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        at_inf = np.isinf(x)
-        u = 1.0 - 2.0 * np.where(at_inf, 0.0, x)  # the limits at +-inf are set below
+        u = _capped_u(np.asarray(x, dtype=float))
         out = self.normalization * np.exp(-0.5 * u**2 * self.counts) * u**2
-        out = np.where(at_inf, 0.0, out)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
         # integral of the pdf, in erfc form
         x = np.asarray(x, dtype=float)
-        at_inf = np.isinf(x)
         a = 0.5 * self.counts
-        u = 1.0 - 2.0 * np.where(at_inf, 0.0, x)  # the limits at +-inf are set below
+        u = _capped_u(x)
         erfc = np.asarray(_ERFC(math.sqrt(a) * u), dtype=float)
         tail = u * np.exp(-a * u**2) / (2.0 * a) + (
             math.sqrt(math.pi) / (4.0 * a**1.5)
         ) * erfc
-        out = np.where(at_inf, x > 0, 0.5 * self.normalization * tail)
+        # +inf keeps exactly 1; the finite limit is 1 only to within an ulp for some N
+        out = np.where(x == np.inf, 1.0, 0.5 * self.normalization * tail)
         return out if out.ndim else float(out)
 
 

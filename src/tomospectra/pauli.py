@@ -3,8 +3,9 @@
 Every qubit register is ordered left to right, qubit 0 first, and qubit 0
 is the most significant factor in all tensor products and flat indices.
 `digits`/`from_digits` (flat indices), `qubit_entries`/`from_qubit_entries`
-(matrix entries), `kron_all` (tensor products) and `apply_per_qubit`
-(Kronecker powers on a stack of vectors) are its one implementation.
+(the entries of a matrix or of the setting x outcome table, qubit by
+qubit), `kron_all` (tensor products) and `apply_per_qubit` (Kronecker
+powers of a block on a stack of vectors) are its one implementation.
 The fixed conventions used throughout the package are:
 
 * Pauli labels 0, 1, 2, 3 stand for the identity and the X, Y, Z operators.
@@ -22,7 +23,10 @@ The fixed conventions used throughout the package are:
   direction 3 (Z): (1, 0) and (0, 1).
   Outcome r of setting s is thus the projector prod_k (1 + r_k sigma_{s_k})/2;
   `tomospectra.estimation.setting_probability_table` builds the exact
-  outcome probabilities from the correlation values in that form.
+  outcome probabilities from the correlation values in that form, one
+  qubit at a time.  Read qubit by qubit (`qubit_entries`), entry (s, r)
+  of a (3**n, 2**n) table has the digit 2 * (s_k - 1) + (bit k of r) on
+  qubit k: the pair (direction, outcome).
 
 Density matrices are plain complex numpy arrays.  They must be Hermitian
 with unit trace; positivity is deliberately *not* required, because the
@@ -73,19 +77,42 @@ def from_digits(values, base):
     return values @ _place_values(base, values.shape[-1])
 
 
-def qubit_entries(matrix, n):
-    """A (2**n, 2**n) matrix -> its 4**n entries, indexed (row_0, col_0, row_1, ...)."""
-    perm = [ax for k in range(n) for ax in (k, n + k)]
-    return matrix.reshape((2,) * (2 * n)).transpose(perm).reshape(4**n)
+def _permuted(array, shape, perm):
+    """``array.reshape(shape).transpose(perm)`` as a new C-ordered array.
+
+    The last axis of ``shape`` must have length 2 and stay last, so each
+    pair of adjacent entries moves as one opaque element: numpy copies
+    short inner loops slowly, and this cuts the copy of a (729, 64) table
+    to a third.  The bits are those of the plain transpose.
+    """
+    array = np.ascontiguousarray(array)
+    pairs = array.view(np.dtype((np.void, 2 * array.itemsize)))
+    moved = pairs.reshape(shape[:-1]).transpose(perm[:-1]).copy()
+    return moved.view(array.dtype)
+
+
+def qubit_entries(table, n):
+    """A stack of (a**n, 2**n) tables -> (..., (2a)**n) entries, indexed (row_0, col_0, row_1, ...).
+
+    A density matrix has a = 2 row digits per qubit, the (3**n, 2**n)
+    setting x outcome table a = 3; the columns are always 2**n outcomes.
+    """
+    batch = table.shape[:-2]
+    lead = len(batch)
+    rows = round(table.shape[-2] ** (1 / n))
+    perm = [*range(lead), *(lead + ax for k in range(n) for ax in (k, n + k))]
+    return _permuted(table, batch + (rows,) * n + (2,) * n, perm).reshape(batch + (-1,))
 
 
 def from_qubit_entries(entries, n):
-    """Inverse of `qubit_entries` on a stack: (..., 4**n) -> (..., 2**n, 2**n)."""
+    """Inverse of `qubit_entries` on a stack: (..., (2a)**n) -> (..., a**n, 2**n)."""
     batch = entries.shape[:-1]
     lead = len(batch)
+    rows = round(entries.shape[-1] ** (1 / n)) // 2
     # (row_0, col_0, row_1, col_1, ...) -> (row_0, row_1, ..., col_0, col_1, ...)
     perm = [*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2)]
-    return entries.reshape(batch + (2,) * (2 * n)).transpose(perm).reshape(batch + (2**n,) * 2)
+    moved = _permuted(entries, batch + (rows, 2) * n, perm)
+    return moved.reshape(batch + (rows**n, 2**n))
 
 
 def kron_all(factors):
@@ -96,19 +123,19 @@ def kron_all(factors):
 def apply_per_qubit(block, vec, n):
     """(block (x) ... (x) block) @ v for n factors, one qubit axis at a time.
 
-    ``vec`` holds vectors v of 4**n entries along its last axis; any
-    leading axes are a stack of such vectors.  Each pass contracts the
-    leading qubit axis of every (4,) * n tensor with ``block`` and appends
-    the result last, so the axes end in qubit order.  A pass is one
-    (4**(n-1), 4) x (4, 4) product per vector on a transposed view, with
-    no copy, the same BLAS call for a stack as for a single vector, so
-    stacking does not change the bits.
+    An (m, k) block takes vectors v of k**n entries along the last axis of
+    ``vec`` to m**n entries; any leading axes are a stack of such vectors.
+    Each pass contracts the leading qubit axis of every (k,) * n tensor
+    with ``block`` and appends the result last, so the axes end in qubit
+    order.  A pass is one (rest, k) x (k, m) product per vector on a
+    transposed view, with no copy, the same BLAS call for a stack as for
+    a single vector, so stacking does not change the bits.
     """
     batch = vec.shape[:-1]
     t = vec
     for _ in range(n):
-        t = t.reshape(batch + (4, -1)).swapaxes(-1, -2) @ block.T
-    return t.reshape(vec.shape)
+        t = t.reshape(batch + (block.shape[1], -1)).swapaxes(-1, -2) @ block.T
+    return t.reshape(batch + (-1,))
 
 
 def _integer(name, value):

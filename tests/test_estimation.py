@@ -71,17 +71,29 @@ def test_exact_frequencies_give_exact_correlations():
     table = setting_probability_table(rho, 3)
     values = correlations_from_frequencies(table, 3)
     np.testing.assert_allclose(values, correlation_tensor_values(rho, 3), atol=1e-10)
+    # per qubit the inverse block undoes the forward block: on the six
+    # eigenstates of X, Y and Z (T = e_0 +- e_d, which span the four Pauli
+    # coefficients) the one-qubit round trip is exact, bit for bit
+    for d in (1, 2, 3):
+        for sign in (1.0, -1.0):
+            eigenstate = (np.eye(2) + sign * SIGMA[d]) / 2
+            back = correlations_from_frequencies(setting_probability_table(eigenstate, 1), 1)
+            assert back.tobytes() == correlation_tensor_values(eigenstate, 1).tobytes()
 
 
 def test_correlations_match_brute_force_oracle():
     rng = np.random.default_rng(123)
     for n in (1, 2, 3):
-        freqs = rng.dirichlet(np.ones(2**n), size=3**n)
-        values = correlations_from_frequencies(freqs, n)
-        expected = brute_force_correlations(freqs, n)
-        # the library forces the identity entry to exactly 1
-        expected[0] = 1.0
-        np.testing.assert_allclose(values, expected, atol=1e-12)
+        stack = rng.dirichlet(np.ones(2**n), size=(4, 3**n))
+        values = correlations_from_frequencies(stack, n)
+        assert values.shape == (4, 4**n)
+        for freqs, got in zip(stack, values):
+            expected = brute_force_correlations(freqs, n)
+            # the library forces the identity entry to exactly 1
+            expected[0] = 1.0
+            np.testing.assert_allclose(got, expected, atol=1e-12)
+            # a table alone gives the bits it has in the stack
+            assert correlations_from_frequencies(freqs, n).tobytes() == got.tobytes()
 
 
 def test_reconstruction_round_trip():

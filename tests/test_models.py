@@ -304,6 +304,19 @@ def test_laplace_pdf_cdf_consistency():
     assert model.second_central_moment == pytest.approx(var, rel=1e-7)
 
 
+def test_laplace_far_tails_do_not_overflow():
+    # a RuntimeWarning fails the test too (pytest turns warnings into errors):
+    # at alpha ~ 7.1e5 the other side's growing exponential overflowed at x = 0.6
+    model = laplace_model(1, 1e12)
+    assert model.cdf(0.6) == 1.0 and model.cdf(-0.6) == 0.0
+    x = np.array([-1.7e308, -np.inf, -0.6, 0.5 - 2e-6, 0.5, 0.5 + 2e-6, 0.6, np.inf, 1.7e308])
+    cdf = model.cdf(x)
+    np.testing.assert_array_equal(cdf[[0, 1, 2, -3, -2, -1]], [0, 0, 0, 1, 1, 1])
+    low, high = (0.5 * math.exp(-model.alpha * abs(v - 0.5)) for v in x[[3, 5]])
+    assert cdf[3:6].tolist() == pytest.approx([low, 0.5, 1.0 - high], rel=1e-15)
+    np.testing.assert_array_equal(model.pdf(x[[0, 1, 2, -3, -2, -1]]), 0.0)
+
+
 def test_laplace_validation():
     with pytest.raises(ValueError):
         LaplaceModel(center=0.0, alpha=0.0)
@@ -368,6 +381,25 @@ def test_single_qubit_limits_at_infinity():
     np.testing.assert_array_equal(model.pdf(x), [0.0, model.pdf(0.4), 0.0])
     np.testing.assert_array_equal(model.cdf(x), [0.0, model.cdf(0.4), 1.0])
     assert math.isnan(model.pdf(np.nan)) and math.isnan(model.cdf(np.nan))
+
+
+def test_single_qubit_far_tails_are_the_limits():
+    # (1 - 2x)**2 overflowed from |x| ~ 6.7e153 on: the pdf was NaN with two
+    # RuntimeWarnings, which fail the test too
+    for counts in (1, 9, 100, 10**6):
+        model = single_qubit_density(counts)
+        x = np.array([-1.7e308, -1e200, -19.5, 20.5, 1e200, 1.7e308])
+        np.testing.assert_array_equal(model.pdf(x), 0.0)
+        cdf = model.cdf(x)
+        np.testing.assert_array_equal(cdf[:3], 0.0)
+        # from x = 20.5 on the cdf holds one value: 1 to within an ulp
+        assert (cdf[3:] == model.cdf(1e6)).all()
+        assert cdf[3] == pytest.approx(1.0, abs=2.3e-16)
+        # inside the cap the bits are the unclipped closed form's
+        grid = np.linspace(-3.0, 4.0, 71)
+        u = 1.0 - 2.0 * grid
+        closed = model.normalization * np.exp(-0.5 * u**2 * counts) * u**2
+        assert model.pdf(grid).tobytes() == closed.tobytes()
 
 
 def test_single_qubit_validation():

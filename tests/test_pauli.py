@@ -106,46 +106,61 @@ def test_kron_all_and_apply_per_qubit_agree_with_explicit_products():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_qubit_entries_interleave_row_and_column_digits(n):
-    """Entry (row, col) sits at the flat index of (row_0, col_0, row_1, col_1, ...)."""
+    """Entry (row, col) sits at the flat index of (row_0, col_0, row_1, col_1, ...).
+
+    Rows take base 2 for a density matrix and base 3 for the (3**n, 2**n)
+    setting x outcome table; columns always take base 2.
+    """
     rng = np.random.default_rng(n)
-    matrix = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    entries = qubit_entries(matrix, n)
-    for row in range(2**n):
-        for col in range(2**n):
-            pairs = np.stack([digits(row, 2, n), digits(col, 2, n)], axis=-1).ravel()
-            assert entries[from_digits(pairs, 2)] == matrix[row, col]
-    # the inverse takes a stack back to its matrices
-    stack = np.stack([matrix, matrix.T, 2 * matrix])
-    rebuilt = from_qubit_entries(np.stack([qubit_entries(m, n) for m in stack]), n)
-    np.testing.assert_array_equal(rebuilt, stack)
+    for rows in (2, 3):
+        matrix = rng.standard_normal((rows**n, 2**n)) + 1j * rng.standard_normal((rows**n, 2**n))
+        entries = qubit_entries(matrix, n)
+        assert entries.shape == ((2 * rows) ** n,)
+        for row in range(rows**n):
+            for col in range(2**n):
+                # qubit k's digit is the pair (row_k, col_k) in base 2 * rows
+                pairs = digits(row, rows, n) * 2 + digits(col, 2, n)
+                assert entries[from_digits(pairs, 2 * rows)] == matrix[row, col]
+        # both directions take a stack, and the inverse takes it back to its tables
+        stack = np.stack([matrix, -matrix, 2 * matrix])
+        stacked = qubit_entries(stack, n)
+        assert stacked.tobytes() == np.stack([qubit_entries(m, n) for m in stack]).tobytes()
+        np.testing.assert_array_equal(from_qubit_entries(stacked, n), stack)
 
 
 def moveaxis_apply_per_qubit(block, vec, n):
     """`apply_per_qubit` as first written: move the qubit axis last, copy, multiply."""
+    out, inp = block.shape
     batch = vec.shape[:-1]
-    t = vec.reshape(batch + (4,) * n)
-    for _ in range(n):
-        t = np.moveaxis(t, -n, -1).reshape(batch + (-1, 4)) @ block.T
-        t = t.reshape(batch + (4,) * n)
-    return t.reshape(vec.shape)
+    t = vec.reshape(batch + (inp,) * n)
+    for k in range(n):
+        t = np.moveaxis(t, -n, -1).reshape(batch + (-1, inp)) @ block.T
+        t = t.reshape(batch + (inp,) * (n - 1 - k) + (out,) * (k + 1))
+    return t.reshape(batch + (-1,))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("block_type, vec_type", [(float, float), (complex, float),
                                                   (complex, complex)])
 def test_apply_per_qubit_bits_do_not_depend_on_stacking(n, block_type, vec_type):
-    """A stack gives the bytes of its vectors one at a time, and of the moveaxis form."""
+    """A stack gives the bytes of its vectors one at a time, and of the moveaxis form.
+
+    Square (4, 4) blocks, and the (4, 6) and (6, 4) shapes of the
+    overcomplete scheme's frequency <-> Pauli blocks.
+    """
     rng = np.random.default_rng(n)
-    block = rng.standard_normal((4, 4)).astype(block_type)
-    stack = rng.standard_normal((5, 4**n)).astype(vec_type)
-    if block_type is complex:
-        block += 1j * rng.standard_normal((4, 4))
-    if vec_type is complex:
-        stack += 1j * rng.standard_normal((5, 4**n))
-    out = apply_per_qubit(block, stack, n)
-    singles = np.array([apply_per_qubit(block, vec, n) for vec in stack])
-    assert out.tobytes() == singles.tobytes()
-    assert out.tobytes() == moveaxis_apply_per_qubit(block, stack, n).tobytes()
+    for out, inp in ((4, 4), (4, 6), (6, 4)):
+        block = rng.standard_normal((out, inp)).astype(block_type)
+        stack = rng.standard_normal((5, inp**n)).astype(vec_type)
+        if block_type is complex:
+            block += 1j * rng.standard_normal((out, inp))
+        if vec_type is complex:
+            stack += 1j * rng.standard_normal((5, inp**n))
+        result = apply_per_qubit(block, stack, n)
+        assert result.shape == (5, out**n)
+        singles = np.array([apply_per_qubit(block, vec, n) for vec in stack])
+        assert result.tobytes() == singles.tobytes()
+        assert result.tobytes() == moveaxis_apply_per_qubit(block, stack, n).tobytes()
 
 
 def test_pauli_string_round_trip():
@@ -383,14 +398,15 @@ def test_probability_table_n6_rank3_is_the_born_rule():
     np.testing.assert_allclose(table, born_rule_table(rho, 6), rtol=0, atol=1e-14)
 
 
-def test_probability_table_n2_white_noise_is_exactly_uniform():
-    """Bit for bit the 0.1.0 table, so n=2 white-noise runs draw the same counts.
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS_DENSE + 1))
+def test_probability_table_white_noise_is_exactly_uniform(n):
+    """Bit for bit the 0.1.0 table, so white-noise runs draw the same counts.
 
     Each multinomial draw splits tied outcomes on the last bit of the
-    table; the per-setting loop of 0.1.0 gave exactly 1/4 everywhere.
+    table; the per-setting loop of 0.1.0 gave exactly 2**-n everywhere.
     """
-    table = setting_probability_table(np.eye(4, dtype=complex) / 4, 2)
-    assert table.tobytes() == np.full((9, 4), 0.25).tobytes()
+    table = setting_probability_table(np.eye(2**n, dtype=complex) / 2**n, n)
+    assert table.tobytes() == np.full((3**n, 2**n), 2.0**-n).tobytes()
 
 
 def test_probability_table_hygiene():
