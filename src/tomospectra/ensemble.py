@@ -31,7 +31,6 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -173,7 +172,14 @@ class ExperimentConfig:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectrumEnsemble:
-    """Stack of sorted eigenvalue rows plus the config that produced it."""
+    """Stack of sorted eigenvalue rows plus the config that produced it.
+
+    ``spectra`` is held read-only.  A read-only array that owns its
+    memory is kept as it is, with no copy: `run_ensemble` hands its rows
+    over so.  Any other array (writeable, or a view of another array's
+    memory) is copied, so writing to the caller's array afterwards leaves
+    the ensemble unchanged.
+    """
 
     config: ExperimentConfig
     spectra: np.ndarray
@@ -186,12 +192,16 @@ class SpectrumEnsemble:
                              % (self.config.replicas, dim))
         if not np.isfinite(spectra).all():
             raise ValueError("spectra must be finite (no NaN or inf)")
-        if np.any(np.diff(spectra, axis=1) < 0):
+        # neighbouring columns compared: a boolean temporary, not a float diff
+        if np.any(spectra[:, 1:] < spectra[:, :-1]):
             raise ValueError("each spectrum row must be sorted ascending")
-        if np.abs(spectra.sum(axis=1) - 1.0).max() > 1e-9:
+        traces = spectra.sum(axis=1)
+        # max |trace - 1| through one temporary: subtracting 1 keeps the order
+        if max(traces.max() - 1.0, 1.0 - traces.min()) > 1e-9:
             raise ValueError("each spectrum row must sum to 1 (unit trace)")
-        spectra = spectra.copy()
-        spectra.setflags(write=False)
+        if spectra.flags.writeable or not spectra.flags.owndata:
+            spectra = spectra.copy()
+            spectra.setflags(write=False)
         object.__setattr__(self, "spectra", spectra)
 
     @property
@@ -247,7 +257,9 @@ class SpectrumEnsemble:
 #: at most this many frequency-table entries (3**n x 2**n per replica) in
 #: one stack of replicas, the runner's unit of work: the stacked back end
 #: drops per-replica call overhead at small n, and the cap keeps a stack
-#: of n=6 tables (one replica there) from growing the run's peak memory
+#: of n=6 tables (one replica there) from growing the run's peak memory.
+#: The complete scheme has no such table but uses the same stack count,
+#: 2**16 // 6**n replicas a stack
 _STACK_ENTRIES = 2**16
 
 
@@ -390,12 +402,17 @@ def run_ensemble(config, workers=1, progress=None):
         raise EnsembleRunError(
             "ensemble aborted after %d of %d replicas: %s" % (completed, total, exc),
             completed) from exc
+    rows.setflags(write=False)  # so the ensemble takes the rows without a copy
     return SpectrumEnsemble(config=config, spectra=rows)
 
 
 #: at most this many eigenvalues formatted into one block of spectra.csv:
 #: a save holds one block of text at a time, never the whole file
 _CSV_BLOCK_VALUES = 2**12
+
+#: at most this many bytes of spectra.csv read at a time to hash it: a
+#: load holds one block of the file's bytes, never the whole file
+_HASH_BLOCK_BYTES = 2**16
 
 # the format has no comments, so loadtxt (comments=None) skips only empty
 # lines: a line with any other byte is a row
@@ -443,6 +460,30 @@ def save_ensemble(ensemble, path):
     return path
 
 
+def _scan_csv(fh):
+    """Hash an open spectra.csv block by block and note what its checks need.
+
+    Returns the SHA-256 hex digest, the size in bytes, the number of
+    commas on the header line (the eigenvalue columns, after the replica
+    column) and whether any row follows the header.
+    """
+    digest = hashlib.sha256()
+    size = columns = 0
+    in_header, has_rows = True, False
+    for block in iter(functools.partial(fh.read, _HASH_BLOCK_BYTES), b""):
+        digest.update(block)
+        size += len(block)
+        start = 0
+        if in_header:
+            end = block.find(b"\n")
+            columns += block.count(b",", 0, len(block) if end < 0 else end)
+            if end < 0:
+                continue
+            in_header, start = False, end + 1
+        has_rows = has_rows or _ROW_BYTE.search(block, start) is not None
+    return digest.hexdigest(), size, columns, has_rows
+
+
 def load_ensemble(path):
     """Read an ensemble directory back; inverse of :func:`save_ensemble`.
 
@@ -451,8 +492,11 @@ def load_ensemble(path):
     checksum.txt is an incomplete save), ``SchemaVersionError`` for a
     version we did not write, ``ChecksumMismatchError`` when the csv
     bytes do not hash to the recorded digest, ``DimensionMismatchError``
-    when row length contradicts the configured qubit count.  The csv
-    bytes are read once and parsed as they are, with no decoded copy.
+    when row length contradicts the configured qubit count.  The checksum
+    is settled before anything in spectra.csv is judged.  spectra.csv is
+    hashed in blocks of at most 2**16 bytes, then parsed line by line
+    from the same open file, so no copy of the file's bytes is held; a
+    directory must not be saved to while it is loaded.
     """
     try:
         with open(os.path.join(path, CONFIG_FILE), encoding="utf-8") as fh:
@@ -473,41 +517,37 @@ def load_ensemble(path):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedEnsembleError("bad %s: %s" % (CONFIG_FILE, exc))
 
-    try:
-        with open(os.path.join(path, SPECTRA_FILE), "rb") as fh:
-            csv_bytes = fh.read()
-        with open(os.path.join(path, CHECKSUM_FILE), encoding="utf-8") as fh:
-            recorded = fh.read().split()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedEnsembleError("cannot read ensemble files: %s" % exc)
-    if not recorded:
-        raise MalformedEnsembleError("%s is empty" % CHECKSUM_FILE)
-    digest = hashlib.sha256(csv_bytes).hexdigest()
-    if digest != recorded[0]:
-        raise ChecksumMismatchError("spectra.csv digest %s != recorded %s"
-                                    % (digest, recorded[0]))
+    with contextlib.ExitStack() as files:
+        try:
+            csv = files.enter_context(open(os.path.join(path, SPECTRA_FILE), "rb"))
+            with open(os.path.join(path, CHECKSUM_FILE), encoding="utf-8") as fh:
+                recorded = fh.read().split()
+            digest, size, columns, has_rows = _scan_csv(csv)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedEnsembleError("cannot read ensemble files: %s" % exc)
+        if not recorded:
+            raise MalformedEnsembleError("%s is empty" % CHECKSUM_FILE)
+        if digest != recorded[0]:
+            raise ChecksumMismatchError("spectra.csv digest %s != recorded %s"
+                                        % (digest, recorded[0]))
 
-    if not csv_bytes:
-        raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
-    header_end = csv_bytes.find(b"\n")
-    if header_end < 0:
-        header_end = len(csv_bytes)
-    columns = csv_bytes.count(b",", 0, header_end)  # after the replica column
-    dim = 2 ** config.state.n
-    if columns != dim:
-        raise DimensionMismatchError(
-            "%s has %d eigenvalue columns but config says 2^%d = %d"
-            % (SPECTRA_FILE, columns, config.state.n, dim))
-    # loadtxt only warns about a file with no row
-    if not _ROW_BYTE.search(csv_bytes, header_end + 1):
-        raise MalformedEnsembleError("%s holds 0 rows but config says %d replicas"
-                                     % (SPECTRA_FILE, config.replicas))
-    try:
-        data = np.loadtxt(io.BytesIO(csv_bytes), delimiter=",", skiprows=1, ndmin=2,
-                          comments=None, encoding="ascii")
-    except ValueError as exc:  # a UnicodeDecodeError included
-        raise MalformedEnsembleError("cannot parse %s: %s" % (SPECTRA_FILE, exc))
-    del csv_bytes  # parsed: free the file's bytes before the rows are checked and copied
+        if not size:
+            raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
+        dim = 2 ** config.state.n
+        if columns != dim:
+            raise DimensionMismatchError(
+                "%s has %d eigenvalue columns but config says 2^%d = %d"
+                % (SPECTRA_FILE, columns, config.state.n, dim))
+        # loadtxt only warns about a file with no row
+        if not has_rows:
+            raise MalformedEnsembleError("%s holds 0 rows but config says %d replicas"
+                                         % (SPECTRA_FILE, config.replicas))
+        try:
+            csv.seek(0)
+            data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2,
+                              comments=None, encoding="ascii")
+        except (OSError, ValueError) as exc:  # a UnicodeDecodeError included
+            raise MalformedEnsembleError("cannot parse %s: %s" % (SPECTRA_FILE, exc))
     if data.shape[0] != config.replicas:
         raise MalformedEnsembleError(
             "%s holds %d rows but config says %d replicas"

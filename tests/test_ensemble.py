@@ -403,6 +403,25 @@ def test_spectrum_ensemble_validation():
         SpectrumEnsemble(config=cfg, spectra=good + 0.1)  # trace off
 
 
+def test_an_ensemble_does_not_share_a_callers_writeable_rows(tmp_path):
+    """Rows passed in are copied unless no one can write them; every result is read-only."""
+    cfg = small_config(reps=2)
+    rows = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.4, 0.5]])
+    before = rows.copy()
+    view = rows.view()
+    view.setflags(write=False)  # read-only, but the memory is still rows'
+    ensembles = [SpectrumEnsemble(config=cfg, spectra=a) for a in (rows, view)]
+    rows[:] = 0.25
+    for ens in ensembles:
+        np.testing.assert_array_equal(ens.spectra, before)
+    ran = run_ensemble(cfg)
+    save_ensemble(ran, str(tmp_path))
+    for ens in ensembles + [ran, load_ensemble(str(tmp_path))]:
+        assert not ens.spectra.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ens.spectra[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spectrum_ensemble_rejects_non_finite_rows(bad):
     # NaN fails every comparison, so sorting and trace checks alone pass it
@@ -464,6 +483,20 @@ def test_load_checksum_mismatch(tmp_path):
     spectra_path = out / SPECTRA_FILE
     data = spectra_path.read_bytes()
     spectra_path.write_bytes(data.replace(b"0.2", b"0.3", 1))
+    with pytest.raises(ChecksumMismatchError):
+        load_ensemble(str(out))
+
+
+@pytest.mark.parametrize("edit", [(b"0.2", b"0.3"), (b"0.2", b"0.x"), (b",", b"")],
+                         ids=["parses", "breaks-parsing", "drops-a-column"])
+def test_a_stale_checksum_is_reported_before_the_rows(tmp_path, edit):
+    """Under a stale checksum any edit is a checksum mismatch, whether or not it parses."""
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    spectra_path = out / SPECTRA_FILE
+    header, _, body = spectra_path.read_bytes().partition(b"\n")
+    assert edit[0] in body
+    spectra_path.write_bytes(header + b"\n" + body.replace(*edit, 1))
     with pytest.raises(ChecksumMismatchError):
         load_ensemble(str(out))
 
@@ -561,6 +594,25 @@ def test_spectra_csv_across_block_boundaries(tmp_path, n, extra):
     assert load_ensemble(str(out)).spectra.tobytes() == ens.spectra.tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, 2**16])
+def test_load_verdicts_do_not_depend_on_the_hash_block(tmp_path, monkeypatch, block):
+    """A header or a row split across hash blocks is still counted and found."""
+    import tomospectra.ensemble as ensemble_module
+
+    monkeypatch.setattr(ensemble_module, "_HASH_BLOCK_BYTES", block)
+    out = tmp_path / "run"
+    ens = run_ensemble(small_config(reps=3))
+    save_ensemble(ens, str(out))
+    assert load_ensemble(str(out)).spectra.tobytes() == ens.spectra.tobytes()
+    header = (out / SPECTRA_FILE).read_bytes().partition(b"\n")[0]
+    _rewrite_spectra(out, header + b"\n\r\n")
+    with pytest.raises(MalformedEnsembleError, match="holds 0 rows"):
+        load_ensemble(str(out))
+    _rewrite_spectra(out, header + b",l_5\n")
+    with pytest.raises(DimensionMismatchError, match="5 eigenvalue columns"):
+        load_ensemble(str(out))
+
+
 def _traced_peak(fn, *args):
     """Peak bytes that ``fn(*args)`` holds at once, by tracemalloc."""
     tracemalloc.start()
@@ -582,6 +634,44 @@ def test_store_memory_is_bounded_by_the_file_size(tmp_path):
           % (size / 1e6, save_peak / 1e6, load_peak / 1e6))
     assert save_peak < 1.0 * size
     assert load_peak < 3.0 * size
+
+
+def test_a_load_holds_no_copy_of_the_file(tmp_path):
+    """Loading holds the parsed table and the ensemble's rows, not the csv bytes.
+
+    On 20 000 n=2 rows (0.64 MB of spectra, a 1.72 MB file) tracemalloc
+    put the load peak at 4.24 times the spectra's bytes when the file was
+    read whole, and at 2.51 times when it is hashed in blocks and parsed
+    from the open file: the table with its index column is 1.25 times.
+    """
+    ens = synthetic_ensemble(2, 20000)
+    out = str(tmp_path / "run")
+    save_ensemble(ens, out)
+    assert _traced_peak(load_ensemble, out) < 3.0 * ens.spectra.nbytes
+
+
+def test_a_run_holds_its_rows_once(monkeypatch):
+    """A run's peak is its rows, one float per row and one stack: the rows are not copied.
+
+    A stack's memory does not grow with the replica count, so a cheap
+    stand-in estimator keeps 10**6 n=1 replicas quick and rows-dominated;
+    the float per row is the unit-trace check.  tracemalloc put the peak
+    at 2.01 times the rows' 16 MB when the ensemble copied them, and at
+    1.51 times when it takes them as they are.
+    """
+    import tomospectra.ensemble as ensemble_module
+
+    rho = np.diag([0.25, 0.75])
+    monkeypatch.setattr(ensemble_module, "replica_estimator", lambda config: (
+        lambda replicas: np.broadcast_to(rho, (len(replicas), 2, 2))))
+    stack = ensemble_module._STACK_ENTRIES // 6
+    one_stack = _traced_peak(run_ensemble, small_config(reps=stack, n=1))
+    replicas = 10**6
+    peak = _traced_peak(run_ensemble, small_config(reps=replicas, n=1))
+    rows = replicas * 2 * 8
+    print("rows %.2f MB, one stack %.2f MB, run peak %.2f MB"
+          % (rows / 1e6, one_stack / 1e6, peak / 1e6))
+    assert peak < rows + replicas * 8 + one_stack
 
 
 def test_load_dimension_mismatch(tmp_path):
