@@ -224,11 +224,12 @@ class SpectrumEnsemble:
         moments are taken about the pooled mean (which sits at 2^-n up to
         sampling error, since the trace of every estimate is one).
         ``k_max`` is an integer >= 2.  Returns a dict keyed by moment order.
+        The moments hold one buffer as large as the pooled sample and one
+        block of centred values, not a centred copy beside each power.
         """
         if _integer("k_max", k_max) < 2:
             raise ValueError("k_max must be at least 2")
-        centered = self.pooled - self.pooled.mean()
-        return {k: float(np.mean(centered**k)) for k in range(2, k_max + 1)}
+        return _central_moments(self.pooled, k_max)
 
     def unphysical_fraction(self):
         """Fraction of replicas with at least one negative eigenvalue."""
@@ -252,6 +253,30 @@ class SpectrumEnsemble:
             out["m4_over_m2_sq"] = m[4] / m[2] ** 2
             out["m6_over_m2_cube"] = m[6] / m[2] ** 3
         return out
+
+
+def _central_moments(values, k_max):
+    """``{k: mean((values - values.mean())**k)}`` for k = 2 .. k_max, bit for bit.
+
+    Each power is written into one buffer as large as ``values``, from
+    centred values taken a block of at most `_CSV_BLOCK_VALUES` at a time,
+    and the mean is taken over the whole buffer, so every moment has the
+    bits of the one-shot expression.  ``np.square`` and ``np.power`` are
+    the ufuncs that ``centered**k`` dispatches to.
+    """
+    mean = values.mean()
+    powers = np.empty_like(values)
+    moments = {}
+    for k in range(2, k_max + 1):
+        for a in range(0, len(values), _CSV_BLOCK_VALUES):
+            b = a + _CSV_BLOCK_VALUES
+            centered = values[a:b] - mean
+            if k == 2:
+                np.square(centered, out=powers[a:b])
+            else:
+                np.power(centered, k, out=powers[a:b])
+        moments[k] = float(np.mean(powers))
+    return moments
 
 
 #: at most this many frequency-table entries (3**n x 2**n per replica) in
@@ -353,12 +378,39 @@ def _stack_spectra(estimate, replicas):
     return np.linalg.eigvalsh(estimate(replicas))
 
 
+def _one_blas_thread():
+    """Pool initializer: set this worker's OpenBLAS to one thread.
+
+    A forked worker inherits OpenBLAS's default thread pool, so two
+    workers on two cores would each start threads for their small LAPACK
+    calls and oversubscribe the machine.  NumPy has no call for this, so
+    the OpenBLAS bundled with NumPy is called through ctypes: NumPy's
+    wheels export ``scipy_openblas_set_num_threads64_``, plain builds
+    ``openblas_set_num_threads``.  If no library answers (NumPy built on
+    another BLAS, say), this does nothing and the worker keeps the
+    threading that the environment gives it.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                return
+
+
 def run_ensemble(config, workers=1, progress=None):
     """Run every replica of ``config`` and collect the sorted spectra.
 
     ``workers`` is the number of worker processes, an integer >= 1,
     capped at the number of stacks, so ``workers=1`` or a run of one
-    stack stays in process.  Because every (replica, setting) pair has
+    stack stays in process.  Each worker sets its OpenBLAS to one thread
+    (`_one_blas_thread`); an in-process run keeps the threading that the
+    environment gives it.  Because every (replica, setting) pair has
     its own seed stream, the result is identical for any worker count.
     ``progress``, if given, is called as ``progress(done, total)`` after
     each stack.  Across workers a task is a run of consecutive stacks,
@@ -386,7 +438,8 @@ def run_ensemble(config, workers=1, progress=None):
             else:
                 from concurrent.futures import ProcessPoolExecutor
 
-                pool = scope.enter_context(ProcessPoolExecutor(max_workers=workers))
+                pool = scope.enter_context(
+                    ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread))
                 # about four tasks per worker, each a run of consecutive
                 # stacks that pickles the estimator (table included) once:
                 # a task per stack costs the main process a future and
@@ -407,7 +460,9 @@ def run_ensemble(config, workers=1, progress=None):
 
 
 #: at most this many eigenvalues formatted into one block of spectra.csv:
-#: a save holds one block of text at a time, never the whole file
+#: a save holds one block of text at a time, never the whole file.  A load
+#: compacts its parsed table, and `moments` centres the pooled sample, in
+#: blocks of the same bound
 _CSV_BLOCK_VALUES = 2**12
 
 #: at most this many bytes of spectra.csv read at a time to hash it: a
@@ -496,7 +551,11 @@ def load_ensemble(path):
     is settled before anything in spectra.csv is judged.  spectra.csv is
     hashed in blocks of at most 2**16 bytes, then parsed line by line
     from the same open file, so no copy of the file's bytes is held; a
-    directory must not be saved to while it is loaded.
+    directory must not be saved to while it is loaded.  The parsed
+    (replicas, 2**n + 1) table is the only full-size array: its index
+    column is checked and its eigenvalues are moved to the front of the
+    same buffer a block of rows at a time, and the buffer is shrunk to
+    (replicas, 2**n) and becomes the ensemble's read-only spectra.
     """
     try:
         with open(os.path.join(path, CONFIG_FILE), encoding="utf-8") as fh:
@@ -556,9 +615,22 @@ def load_ensemble(path):
         raise DimensionMismatchError(
             "%s rows carry %d eigenvalues but config says %d"
             % (SPECTRA_FILE, data.shape[1] - 1, dim))
-    if not np.array_equal(data[:, 0], np.arange(config.replicas)):
-        raise MalformedEnsembleError("replica index column is not 0..replicas-1")
+    if not (data.flags.owndata and data.flags.c_contiguous):  # else no resize
+        data = data.copy()
+    # each block's eigenvalues move down to the front of the same buffer:
+    # rows a..b-1 land below b*dim, and row b's values start at b*(dim+1),
+    # so no unread row is overwritten (numpy buffers the overlap in a block)
+    size = max(1, _CSV_BLOCK_VALUES // (dim + 1))
+    flat = data.reshape(-1)
+    for a in range(0, config.replicas, size):
+        b = min(a + size, config.replicas)
+        if not np.array_equal(data[a:b, 0], np.arange(a, b)):
+            raise MalformedEnsembleError("replica index column is not 0..replicas-1")
+        flat[a * dim:b * dim].reshape(b - a, dim)[...] = data[a:b, 1:]
+    del flat  # a live view would make the resize fail
+    data.resize((config.replicas, dim))
+    data.setflags(write=False)  # so the ensemble takes the rows without a copy
     try:
-        return SpectrumEnsemble(config=config, spectra=data[:, 1:])
+        return SpectrumEnsemble(config=config, spectra=data)
     except ValueError as exc:
         raise MalformedEnsembleError("spectra violate invariants: %s" % exc)

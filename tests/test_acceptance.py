@@ -2,11 +2,12 @@
 
 Every stochastic criterion runs with a pinned master seed, so each test
 is deterministic; the quoted measured values come from the calibration
-run that froze those seeds.  Runtimes below come from a
-``--durations=10`` run on a 2-vCPU guest: the whole suite takes about
-four minutes, dominated by criteria 3 and 5 (documented per
-test; the >20 s ones carry the ``slow`` marker so they can be selected or skipped explicitly, but they run in
-the default invocation on purpose).
+run that froze those seeds.  Runtimes below come from
+``--durations=10`` runs on a 2-vCPU guest: the whole suite takes about
+one and a half to two minutes, dominated by criteria 3 and 5 (documented
+per test; the four longest carry the ``slow`` marker so they can be
+selected or skipped explicitly, but they run in the default invocation
+on purpose).  Criteria 3, 5, 6 and 7 run on two worker processes.
 """
 
 import math
@@ -54,10 +55,11 @@ def test_criterion_03_semicircle_moments():
     """White noise n=6, N=100, 10^4 replicas: m2 within 2% of (0.115741/2)^2,
     m4/m2^2 = 2 +- 0.1, m6/m2^3 = 5 +- 0.5.
 
-    Runtime ~105 s.  Measured at seed 1: m2 ratio 1.00007, m4/m2^2 =
-    2.00034, m6/m2^3 = 5.00385.
+    Runtime ~35 s on two workers (~60-100 s on one).  Measured at seed 1:
+    m2 ratio 1.00007, m4/m2^2 = 2.00034, m6/m2^3 = 5.00385.
     """
-    ens = ts.run_ensemble(overcomplete_config(6, 100, 10**4, seed=1))
+    # any worker count gives the same rows (criterion 10)
+    ens = ts.run_ensemble(overcomplete_config(6, 100, 10**4, seed=1), workers=2)
     m = ens.moments(6)
     target = (0.115741 / 2.0) ** 2
     ratio2 = m[2] / target
@@ -114,12 +116,14 @@ def test_criterion_06_ghz_at_the_count_threshold():
     """GHZ+noise, n=6, q=0.8, N=132921, 2500 replicas: physical fraction
     0.959 +- 0.02 and pooled largest-eigenvalue mean 0.803 +- 0.003.
 
-    Runtime ~25 s.  Measured at seed 6: 0.9520 and 0.803135.
+    Runtime ~10 s on two workers (~20 s on one).  Measured at seed 6:
+    0.9520 and 0.803135.
     """
     ens = ts.run_ensemble(
         overcomplete_config(
             6, 132921, 2500, seed=6, kind="ghz_plus_noise", q=0.8
-        )
+        ),
+        workers=2,
     )
     physical = 1.0 - ens.unphysical_fraction()
     top_mean = float(ens.spectra[:, -1].mean())
@@ -138,13 +142,13 @@ def test_criterion_07_complete_vs_overcomplete():
     scheme at the same budget (N = 4e6/729 per setting) stays >= 95%
     physical over 2000 replicas.
 
-    Runtime ~22 s.  Measured at seeds 7/71: m2 ratio 1.0096, sup 0.0170
-    vs 0.0835, fractions 1.0000 and 0.9645.
+    Runtime ~10 s on two workers (~20 s on one).  Measured at seeds 7/71:
+    m2 ratio 1.0096, sup 0.0170 vs 0.0835, fractions 1.0000 and 0.9690.
     """
     cfg = ts.ExperimentConfig.complete(
         ts.StateSpec(kind="white_noise", n=6), 4e6, replicas=150, master_seed=7
     )
-    ens = ts.run_ensemble(cfg)
+    ens = ts.run_ensemble(cfg, workers=2)
     target = 4**6 / 4e6
     m2 = ens.moments(2)[2]
     assert abs(m2 / target - 1.0) <= 0.10
@@ -158,7 +162,7 @@ def test_criterion_07_complete_vs_overcomplete():
     assert ens.unphysical_fraction() == 1.0
 
     n_over = round(4e6 / 729)
-    ens_over = ts.run_ensemble(overcomplete_config(6, n_over, 2000, seed=71))
+    ens_over = ts.run_ensemble(overcomplete_config(6, n_over, 2000, seed=71), workers=2)
     physical = 1.0 - ens_over.unphysical_fraction()
     assert physical >= 0.95
     print("criterion 7 PASS: complete m2/(4^n/Nt) = %.4f (1 +- 0.1), "

@@ -132,11 +132,14 @@ def test_run_ensemble_deterministic_across_workers():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in process."""
+    """Stands in for ProcessPoolExecutor: records its size and maps in process.
+
+    The initializer is not run: it would pin this process's BLAS threads.
+    """
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -162,6 +165,45 @@ def test_a_run_starts_no_more_workers_than_stacks(monkeypatch, config, pool_size
     capped = run_ensemble(config, workers=4)
     assert RecordingPool.sizes == pool_sizes
     assert capped.spectra.tobytes() == plain.spectra.tobytes()
+
+
+def _blas_threads():
+    """Threads of NumPy's bundled OpenBLAS, or None if it cannot be asked."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+def _spectra_in_one_blas_thread(estimate, replicas):
+    """The stack's spectra, computed only in a worker that runs one BLAS thread."""
+    threads = _blas_threads()
+    if threads != 1:
+        raise RuntimeError("a pool worker runs %s BLAS threads" % threads)
+    return np.linalg.eigvalsh(estimate(replicas))
+
+
+def test_pool_workers_run_one_blas_thread_and_leave_the_parent_alone(monkeypatch):
+    import tomospectra.ensemble as ensemble_module
+
+    parent = _blas_threads()
+    if parent is None:
+        pytest.skip("NumPy's OpenBLAS cannot be asked its thread count")
+    config = small_config(reps=120, n=4)  # three stacks
+    plain = run_ensemble(config)
+    # forked workers look the stack function up in the patched module
+    monkeypatch.setattr(ensemble_module, "_stack_spectra", _spectra_in_one_blas_thread)
+    pooled = run_ensemble(config, workers=2)
+    assert _blas_threads() == parent
+    assert pooled.spectra.tobytes() == plain.spectra.tobytes()
 
 
 def test_run_ensemble_builds_the_probability_table_once(monkeypatch):
@@ -637,17 +679,74 @@ def test_store_memory_is_bounded_by_the_file_size(tmp_path):
 
 
 def test_a_load_holds_no_copy_of_the_file(tmp_path):
-    """Loading holds the parsed table and the ensemble's rows, not the csv bytes.
+    """Loading holds the parsed table, compacted in place, not the csv bytes.
 
     On 20 000 n=2 rows (0.64 MB of spectra, a 1.72 MB file) tracemalloc
     put the load peak at 4.24 times the spectra's bytes when the file was
-    read whole, and at 2.51 times when it is hashed in blocks and parsed
-    from the open file: the table with its index column is 1.25 times.
+    read whole, and at 2.51 times when it was hashed in blocks and parsed
+    from the open file into a table (1.25 times, with its index column)
+    that the ensemble copied its rows from.  Compacting the table in place
+    into the ensemble's rows puts it at 1.56 times.
     """
     ens = synthetic_ensemble(2, 20000)
     out = str(tmp_path / "run")
     save_ensemble(ens, out)
-    assert _traced_peak(load_ensemble, out) < 3.0 * ens.spectra.nbytes
+    assert _traced_peak(load_ensemble, out) < 2.0 * ens.spectra.nbytes
+
+
+def test_a_loaded_ensemble_owns_its_rows(tmp_path):
+    """The parsed table itself, shrunk to the eigenvalue columns, becomes the spectra."""
+    ens = synthetic_ensemble(2, 3000)  # several compaction blocks
+    out = str(tmp_path / "run")
+    save_ensemble(ens, out)
+    spectra = load_ensemble(out).spectra
+    assert spectra.flags.owndata and spectra.base is None
+    assert not spectra.flags.writeable
+    assert spectra.tobytes() == ens.spectra.tobytes()
+
+
+@pytest.mark.parametrize("line", [1, -1], ids=["first-block", "last-block"])
+def test_a_bad_replica_index_in_any_block_is_malformed(tmp_path, line):
+    import tomospectra.ensemble as ensemble_module
+
+    rows = 3 * ensemble_module._CSV_BLOCK_VALUES // 5 + 7  # n=2 rows carry 5 values
+    out = tmp_path / "run"
+    save_ensemble(synthetic_ensemble(2, rows), str(out))
+    lines = (out / SPECTRA_FILE).read_bytes().splitlines()
+    index, _, values = lines[line].partition(b",")
+    lines[line] = b"%d,%s" % (int(index) + 1, values)
+    _rewrite_spectra(out, b"\n".join(lines) + b"\n")
+    with pytest.raises(MalformedEnsembleError,
+                       match=r"replica index column is not 0\.\.replicas-1"):
+        load_ensemble(str(out))
+
+
+def test_moments_hold_one_buffer_beside_the_rows():
+    """The moments hold one buffer of powers and a block of centred values.
+
+    On 20 000 n=2 rows tracemalloc put the peak at 2.00 times the pooled
+    bytes when a centred copy was held beside each power, and at 1.10
+    times with one buffer filled a block at a time.
+    """
+    ens = synthetic_ensemble(2, 20000)
+    assert _traced_peak(ens.moments, 8) < 1.5 * ens.pooled.nbytes
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(length=st.sampled_from(["one", "block-1", "block", "block+1"]),
+       k_max=st.integers(min_value=2, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.floats(min_value=1e-6, max_value=1e3))
+def test_moments_have_the_bits_of_the_one_shot_expression(length, k_max, seed, scale):
+    import tomospectra.ensemble as ensemble_module
+
+    block = ensemble_module._CSV_BLOCK_VALUES
+    size = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[length]
+    x = 2.0**-6 + scale * np.random.default_rng(seed).standard_normal(size)
+    centered = x - x.mean()
+    expected = {k: float(np.mean(centered**k)).hex() for k in range(2, k_max + 1)}
+    moments = ensemble_module._central_moments(x, k_max)
+    assert {k: m.hex() for k, m in moments.items()} == expected
 
 
 def test_a_run_holds_its_rows_once(monkeypatch):
