@@ -31,10 +31,11 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
-import re
+import warnings
 
 import numpy as np
 
@@ -465,15 +466,6 @@ def run_ensemble(config, workers=1, progress=None):
 #: blocks of the same bound
 _CSV_BLOCK_VALUES = 2**12
 
-#: at most this many bytes of spectra.csv read at a time to hash it: a
-#: load holds one block of the file's bytes, never the whole file
-_HASH_BLOCK_BYTES = 2**16
-
-# the format has no comments, so loadtxt (comments=None) skips only empty
-# lines: a line with any other byte is a row
-_ROW_BYTE = re.compile(rb"[^\r\n]")
-
-
 def _csv_blocks(spectra):
     """The bytes of spectra.csv: the header, then blocks of rows."""
     dim = spectra.shape[1]
@@ -515,28 +507,11 @@ def save_ensemble(ensemble, path):
     return path
 
 
-def _scan_csv(fh):
-    """Hash an open spectra.csv block by block and note what its checks need.
-
-    Returns the SHA-256 hex digest, the size in bytes, the number of
-    commas on the header line (the eigenvalue columns, after the replica
-    column) and whether any row follows the header.
-    """
-    digest = hashlib.sha256()
-    size = columns = 0
-    in_header, has_rows = True, False
-    for block in iter(functools.partial(fh.read, _HASH_BLOCK_BYTES), b""):
-        digest.update(block)
-        size += len(block)
-        start = 0
-        if in_header:
-            end = block.find(b"\n")
-            columns += block.count(b",", 0, len(block) if end < 0 else end)
-            if end < 0:
-                continue
-            in_header, start = False, end + 1
-        has_rows = has_rows or _ROW_BYTE.search(block, start) is not None
-    return digest.hexdigest(), size, columns, has_rows
+def _hashed_lines(fh, digest):
+    """Yield the lines of the open file ``fh``, hashing each into ``digest`` as it is read."""
+    for line in fh:
+        digest.update(line)
+        yield line
 
 
 def load_ensemble(path):
@@ -548,14 +523,15 @@ def load_ensemble(path):
     version we did not write, ``ChecksumMismatchError`` when the csv
     bytes do not hash to the recorded digest, ``DimensionMismatchError``
     when row length contradicts the configured qubit count.  The checksum
-    is settled before anything in spectra.csv is judged.  spectra.csv is
-    hashed in blocks of at most 2**16 bytes, then parsed line by line
-    from the same open file, so no copy of the file's bytes is held; a
-    directory must not be saved to while it is loaded.  The parsed
-    (replicas, 2**n + 1) table is the only full-size array: its index
-    column is checked and its eigenvalues are moved to the front of the
-    same buffer a block of rows at a time, and the buffer is shrunk to
-    (replicas, 2**n) and becomes the ensemble's read-only spectra.
+    is settled before anything in spectra.csv is judged: a parse error
+    waits until the rest of the file is hashed.  spectra.csv is read
+    once, each line hashed as the parser reads it, so the rows returned
+    are exactly the bytes checksum.txt covers and no copy of the file's
+    bytes is held.  The parsed (replicas, 2**n + 1) table is the only
+    full-size array: its index column is checked and its eigenvalues are
+    moved to the front of the same buffer a block of rows at a time, and
+    the buffer is shrunk to (replicas, 2**n) and becomes the ensemble's
+    read-only spectra.
     """
     try:
         with open(os.path.join(path, CONFIG_FILE), encoding="utf-8") as fh:
@@ -576,37 +552,42 @@ def load_ensemble(path):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedEnsembleError("bad %s: %s" % (CONFIG_FILE, exc))
 
-    with contextlib.ExitStack() as files:
-        try:
-            csv = files.enter_context(open(os.path.join(path, SPECTRA_FILE), "rb"))
+    digest, parse_error = hashlib.sha256(), None
+    try:
+        with open(os.path.join(path, SPECTRA_FILE), "rb") as csv:
             with open(os.path.join(path, CHECKSUM_FILE), encoding="utf-8") as fh:
                 recorded = fh.read().split()
-            digest, size, columns, has_rows = _scan_csv(csv)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedEnsembleError("cannot read ensemble files: %s" % exc)
-        if not recorded:
-            raise MalformedEnsembleError("%s is empty" % CHECKSUM_FILE)
-        if digest != recorded[0]:
-            raise ChecksumMismatchError("spectra.csv digest %s != recorded %s"
-                                        % (digest, recorded[0]))
-
-        if not size:
-            raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
-        dim = 2 ** config.state.n
-        if columns != dim:
-            raise DimensionMismatchError(
-                "%s has %d eigenvalue columns but config says 2^%d = %d"
-                % (SPECTRA_FILE, columns, config.state.n, dim))
-        # loadtxt only warns about a file with no row
-        if not has_rows:
-            raise MalformedEnsembleError("%s holds 0 rows but config says %d replicas"
-                                         % (SPECTRA_FILE, config.replicas))
-        try:
-            csv.seek(0)
-            data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2,
-                              comments=None, encoding="ascii")
-        except (OSError, ValueError) as exc:  # a UnicodeDecodeError included
-            raise MalformedEnsembleError("cannot parse %s: %s" % (SPECTRA_FILE, exc))
+            lines = _hashed_lines(csv, digest)
+            header = next(lines, b"")
+            try:
+                with warnings.catch_warnings():  # no row: judged by the row count below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    data = np.loadtxt(itertools.chain((header,), lines), delimiter=",",
+                                      skiprows=1, ndmin=2, comments=None, encoding="ascii")
+            except ValueError as exc:  # a UnicodeDecodeError included
+                parse_error = exc
+            for _ in lines:  # hash what the parser left unread
+                pass
+            size = csv.tell()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedEnsembleError("cannot read ensemble files: %s" % exc)
+    if not recorded:
+        raise MalformedEnsembleError("%s is empty" % CHECKSUM_FILE)
+    if digest.hexdigest() != recorded[0]:
+        raise ChecksumMismatchError("spectra.csv digest %s != recorded %s"
+                                    % (digest.hexdigest(), recorded[0]))
+    if not size:
+        raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
+    dim = 2 ** config.state.n
+    columns = header.count(b",")
+    if columns != dim:
+        raise DimensionMismatchError(
+            "%s has %d eigenvalue columns but config says 2^%d = %d"
+            % (SPECTRA_FILE, columns, config.state.n, dim))
+    if parse_error is not None:
+        raise MalformedEnsembleError(
+            "cannot parse %s: %s" % (SPECTRA_FILE, parse_error)) from parse_error
     if data.shape[0] != config.replicas:
         raise MalformedEnsembleError(
             "%s holds %d rows but config says %d replicas"
@@ -627,8 +608,12 @@ def load_ensemble(path):
         if not np.array_equal(data[a:b, 0], np.arange(a, b)):
             raise MalformedEnsembleError("replica index column is not 0..replicas-1")
         flat[a * dim:b * dim].reshape(b - a, dim)[...] = data[a:b, 1:]
-    del flat  # a live view would make the resize fail
-    data.resize((config.replicas, dim))
+    # ``flat`` is the buffer's only view, so once it is deleted nothing
+    # shares the buffer.  The resize still skips numpy's reference count
+    # check: a trace function's copy of this frame's locals (pdb, coverage,
+    # IDE debuggers) is one more reference to ``data`` but not to its memory
+    del flat
+    data.resize((config.replicas, dim), refcheck=False)
     data.setflags(write=False)  # so the ensemble takes the rows without a copy
     try:
         return SpectrumEnsemble(config=config, spectra=data)
