@@ -679,11 +679,17 @@ def test_spectra_csv_across_block_boundaries(tmp_path, n, extra):
     assert load_ensemble(str(out)).spectra.tobytes() == ens.spectra.tobytes()
 
 
-def test_a_header_is_counted_and_its_rows_found(tmp_path):
-    """The header's columns are counted on its own line, and blank lines are no rows."""
+@pytest.mark.parametrize("block", [1, 7, 2**16])
+def test_load_verdicts_do_not_depend_on_the_hash_block(tmp_path, monkeypatch, block):
+    """A header or a row split across read blocks is still hashed, counted and found.
+
+    spectra.csv is read through a buffer of ``block`` bytes, so the lines the
+    parser and the hash see are pieced together from many reads.
+    """
     out = tmp_path / "run"
     ens = run_ensemble(small_config(reps=3))
     save_ensemble(ens, str(out))
+    _open_spectra_through(monkeypatch, io.FileIO, buffer_size=block)
     assert load_ensemble(str(out)).spectra.tobytes() == ens.spectra.tobytes()
     header = (out / SPECTRA_FILE).read_bytes().partition(b"\n")[0]
     _rewrite_spectra(out, header + b"\n\r\n")
@@ -710,7 +716,7 @@ class _CountingFile(io.FileIO):
         return data
 
 
-def _open_spectra_through(monkeypatch, raw_file):
+def _open_spectra_through(monkeypatch, raw_file, buffer_size=io.DEFAULT_BUFFER_SIZE):
     """Make the ensemble module read spectra.csv through ``raw_file``; return the opened paths."""
     import builtins
 
@@ -723,7 +729,7 @@ def _open_spectra_through(monkeypatch, raw_file):
             return builtins.open(file, mode, *args, **kwargs)
         assert mode == "rb"
         opened.append(file)
-        return io.BufferedReader(raw_file(file, "r"))
+        return io.BufferedReader(raw_file(file, "r"), buffer_size)
 
     monkeypatch.setattr(ensemble_module, "open", patched_open, raising=False)
     return opened
