@@ -28,7 +28,7 @@ config = ts.ExperimentConfig.overcomplete(
 print("simulating %d single-qubit reconstructions at N=%d ..."
       % (REPLICAS, EVENTS))
 ensemble = ts.run_ensemble(config)
-model = ts.single_qubit_density(EVENTS)
+model = ts.SingleQubitModel(EVENTS)
 
 pooled = np.sort(ensemble.pooled)
 theory = model.cdf(pooled)

@@ -41,7 +41,6 @@ from .models import (
     physicality_probability,
     semicircle_center,
     semicircle_radius,
-    single_qubit_density,
 )
 from .gof import (
     NoAcceptedRankError,

@@ -235,7 +235,7 @@ def _overlay_model(config):
                        "alpha": model.alpha}
     counts = config.count_model.events_per_setting
     if n == 1 and state.kind == "white_noise":
-        model = models.single_qubit_density(counts)
+        model = models.SingleQubitModel(counts)
         return model, {"family": "single_qubit", "counts": counts,
                        "normalization": model.normalization}
     r = _signal_rank(state.q, state.r if state.kind == "rank_r_plus_noise" else None)
@@ -299,9 +299,9 @@ def analyze(in_dir, bins, out_dir, fmt):
 
 
 def _read_eigenvalue_file(path):
-    with open(path) as fh:
-        tokens = fh.read().replace(",", " ").split()
-    try:
+    try:  # UnicodeDecodeError is a ValueError
+        with open(path, encoding="utf-8") as fh:
+            tokens = fh.read().replace(",", " ").split()
         return np.array([float(t) for t in tokens])
     except ValueError as exc:
         raise click.UsageError("cannot parse %s: %s" % (path, exc))
@@ -317,15 +317,12 @@ def _read_eigenvalue_file(path):
               help="replica row used with --in")
 @click.option("--counts", type=int, default=None,
               help="events per setting N [default: the ensemble's, with --in]")
-@click.option("--qubits", type=int, default=None,
-              help="qubit number; inferred from the eigenvalue count if omitted")
 @click.option("--significance", type=float, default=0.05, show_default=True,
               help="acceptance threshold on the effective P-value")
 @click.option("--max-rank", type=int, default=None,
               help="largest candidate rank to test [default: min(2^n-5, 10)]")
 @_format_option
-def rank_test(eig_file, in_dir, replica, counts, qubits, significance,
-              max_rank, fmt):
+def rank_test(eig_file, in_dir, replica, counts, significance, max_rank, fmt):
     """Find the smallest signal rank with a semicircle-consistent remainder."""
     if (eig_file is None) == (in_dir is None):
         raise click.UsageError(
@@ -333,7 +330,8 @@ def rank_test(eig_file, in_dir, replica, counts, qubits, significance,
 
     if eig_file is not None:
         eigs = _read_eigenvalue_file(eig_file)
-        n = max(eigs.size.bit_length() - 1, 0)
+        # 2**n values read as n qubits; estimate_rank refuses any other count
+        n = max(eigs.size.bit_length() - 1, 1)
         if counts is None:
             raise _bad("required with --eigenvalues: the noise radius scales "
                        "with the per-setting events", "--counts")
@@ -351,8 +349,6 @@ def rank_test(eig_file, in_dir, replica, counts, qubits, significance,
                     "calibrated by per-setting events", "--counts")
             counts = ensemble.config.count_model.events_per_setting
         source = "%s:replica=%d" % (in_dir, replica)
-    if qubits is not None:  # estimate_rank checks it against the 2^n eigenvalues
-        n = qubits
 
     with _library_checks():
         report = estimate_rank(eigs, n, counts, significance=significance,

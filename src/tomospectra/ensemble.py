@@ -225,8 +225,8 @@ class SpectrumEnsemble:
         moments are taken about the pooled mean (which sits at 2^-n up to
         sampling error, since the trace of every estimate is one).
         ``k_max`` is an integer >= 2.  Returns a dict keyed by moment order.
-        The moments hold one buffer as large as the pooled sample and one
-        block of centred values, not a centred copy beside each power.
+        The moments hold one buffer as large as the pooled sample, not a
+        centred copy beside each power.
         """
         if _integer("k_max", k_max) < 2:
             raise ValueError("k_max must be at least 2")
@@ -259,23 +259,21 @@ class SpectrumEnsemble:
 def _central_moments(values, k_max):
     """``{k: mean((values - values.mean())**k)}`` for k = 2 .. k_max, bit for bit.
 
-    Each power is written into one buffer as large as ``values``, from
-    centred values taken a block of at most `_CSV_BLOCK_VALUES` at a time,
-    and the mean is taken over the whole buffer, so every moment has the
-    bits of the one-shot expression.  ``np.square`` and ``np.power`` are
-    the ufuncs that ``centered**k`` dispatches to.
+    For each k the centred values are written into one buffer as large as
+    ``values`` and raised to the k-th power in place, and the mean is
+    taken over the whole buffer, so every moment has the bits of the
+    one-shot expression.  ``np.square`` and ``np.power`` are the ufuncs
+    that ``centered**k`` dispatches to.
     """
     mean = values.mean()
     powers = np.empty_like(values)
     moments = {}
     for k in range(2, k_max + 1):
-        for a in range(0, len(values), _CSV_BLOCK_VALUES):
-            b = a + _CSV_BLOCK_VALUES
-            centered = values[a:b] - mean
-            if k == 2:
-                np.square(centered, out=powers[a:b])
-            else:
-                np.power(centered, k, out=powers[a:b])
+        np.subtract(values, mean, out=powers)
+        if k == 2:
+            np.square(powers, out=powers)
+        else:
+            np.power(powers, k, out=powers)
         moments[k] = float(np.mean(powers))
     return moments
 
@@ -462,8 +460,8 @@ def run_ensemble(config, workers=1, progress=None):
 
 #: at most this many eigenvalues formatted into one block of spectra.csv:
 #: a save holds one block of text at a time, never the whole file.  A load
-#: compacts its parsed table, and `moments` centres the pooled sample, in
-#: blocks of the same bound
+#: compacts its parsed table in blocks of the same bound (the moments take
+#: the pooled sample whole, in one buffer)
 _CSV_BLOCK_VALUES = 2**12
 
 def _csv_blocks(spectra):

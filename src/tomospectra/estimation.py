@@ -37,7 +37,6 @@ counts alone; no dense matrix and no correlation vector is formed.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +131,8 @@ class CompleteSchemeFrame:
     tr(sigma_mu |v><v|) / 2 and ``entries`` the single-qubit map from
     counts to matrix entries, [(i, j), v] = sum_mu sigma_mu[i, j] B1^-1[mu, v];
     their n-fold Kronecker powers act on the whole register.
+    `build_complete_frame` makes a new frame, with its own arrays, on
+    every call.
     """
 
     n: int
@@ -143,9 +144,12 @@ class CompleteSchemeFrame:
         return apply_per_qubit(self.block, np.asarray(values, dtype=float), self.n)
 
 
-@lru_cache(maxsize=None)
 def build_complete_frame(n):
-    """Build (and cache) the projector frame for n qubits, 1..MAX_QUBITS_DENSE."""
+    """A new projector frame for n qubits, 1..MAX_QUBITS_DENSE.
+
+    Nothing is cached: a run builds its one frame in `replica_estimator`
+    (about 30 us at n=6), and a frame one caller edits reaches no other.
+    """
     n = _dense_qubits(n)
     # tr(sigma_mu |v><v|) = <v| sigma_mu |v>, real since sigma_mu is Hermitian
     block = np.einsum("vi,mij,vj->vm", _FRAME_KETS.conj(), SIGMA, _FRAME_KETS).real / 2.0

@@ -276,8 +276,3 @@ class SingleQubitModel:
         # +inf keeps exactly 1; the finite limit is 1 only to within an ulp for some N
         out = np.where(x == np.inf, 1.0, 0.5 * self.normalization * tail)
         return out if out.ndim else float(out)
-
-
-def single_qubit_density(counts):
-    """Build the exact single-qubit eigenvalue model for N events per setting."""
-    return SingleQubitModel(counts)

@@ -1,22 +1,27 @@
 """Pauli-basis toolbox: the register convention, states, expectation values.
 
 Every qubit register is ordered left to right, qubit 0 first, and qubit 0
-is the most significant factor in all tensor products and flat indices.
-`digits`/`from_digits` (flat indices), `qubit_entries`/`from_qubit_entries`
-(the entries of a matrix or of the setting x outcome table, qubit by
-qubit), `kron_all` (tensor products) and `apply_per_qubit` (Kronecker
-powers of a block on a stack of vectors) are its one implementation.
+is the most significant factor in all tensor products and flat indices:
+a flat index is NumPy's C-order index of its digits, so
+``np.unravel_index(index, (base,) * n)`` reads the digits qubit 0 first
+and ``np.ravel_multi_index(digits, (base,) * n)`` packs them back.
+`qubit_entries`/`from_qubit_entries` (the entries of a matrix or of the
+setting x outcome table, qubit by qubit), `kron_all` (tensor products)
+and `apply_per_qubit` (Kronecker powers of a block on a stack of
+vectors) are its one implementation.
 The fixed conventions used throughout the package are:
 
 * Pauli labels 0, 1, 2, 3 stand for the identity and the X, Y, Z operators.
-  A Pauli string is the flat base-4 index of its labels, ``from_digits(labels, 4)``.
+  A Pauli string is the flat base-4 index of its labels,
+  ``np.ravel_multi_index(labels, (4,) * n)``.
 * A measurement setting picks one of the directions 1, 2, 3 per qubit
   (there is no "identity measurement"); ``3**n`` settings in total, and
-  setting s measures the directions ``digits(s, 3, n) + 1``.
+  setting s measures the directions ``np.unravel_index(s, (3,) * n)``
+  plus 1.
 * Outcomes are sign tuples in {+1, -1}^n.  Outcome enumeration is
   lexicographic with +1 before -1, i.e. bit 0 of the outcome index means
   +1 on that qubit and bit 1 means -1, qubit 0 most significant: outcome
-  r has the signs ``1 - 2 * digits(r, 2, n)``.
+  r has the signs 1 - 2 * ``np.unravel_index(r, (2,) * n)``.
 * Measurement eigenvectors (the +1 eigenvector listed first):
   direction 1 (X): (1, 1)/sqrt(2) and (1, -1)/sqrt(2);
   direction 2 (Y): (1, i)/sqrt(2) and (1, -i)/sqrt(2);
@@ -59,22 +64,6 @@ SIGMA = np.array(
 # per qubit, tr(rho sigma_mu) = sum_ij _READ_PAULI[mu, (i, j)] rho[i, j]
 _READ_PAULI = SIGMA.transpose(0, 2, 1).reshape(4, 4)
 _SQRT2 = 1 / np.sqrt(2.0)
-
-
-def _place_values(base, n):
-    # built from Python ints: past int64 NumPy keeps them exact as objects
-    return np.array([base**k for k in range(n - 1, -1, -1)])
-
-
-def digits(index, base, n):
-    """The n base-``base`` digits of an int or int array, as a new last axis."""
-    return np.asarray(index)[..., None] // _place_values(base, n) % base
-
-
-def from_digits(values, base):
-    """Inverse of `digits`: the flat index of the digits on the last axis."""
-    values = np.asarray(values)
-    return values @ _place_values(base, values.shape[-1])
 
 
 def _permuted(array, shape, perm):
@@ -302,7 +291,8 @@ def dicke_vector(n, k):
     if not 0 <= k <= n:
         raise ValueError("excitation number k must lie in 0..n")
     psi = np.zeros(2**n, dtype=complex)
-    psi[digits(np.arange(2**n), 2, n).sum(axis=1) == k] = 1.0
+    # the basis states whose n bits hold k ones
+    psi[sum(np.unravel_index(np.arange(2**n), (2,) * n)) == k] = 1.0
     psi /= np.linalg.norm(psi)
     return psi
 

@@ -19,7 +19,7 @@ import tomospectra as ts
 from tomospectra.cli import main as cli_main
 from tomospectra.estimation import setting_probability_table
 from tomospectra.gof import sup_cdf_distance
-from tomospectra.pauli import build_state, digits
+from tomospectra.pauli import build_state
 
 
 def overcomplete_config(n, counts, replicas, seed, **state_kw):
@@ -79,7 +79,7 @@ def test_criterion_04_single_qubit_cdf():
     Runtime ~2 s.  Measured at seed 2: 0.00784.
     """
     ens = ts.run_ensemble(overcomplete_config(1, 100, 10**5, seed=2))
-    model = ts.single_qubit_density(100)
+    model = ts.SingleQubitModel(100)
     sup = sup_cdf_distance(np.sort(ens.pooled), model.cdf)
     assert sup <= 0.01
     print("criterion 4 PASS: sup-CDF distance = %.5f (<= 0.01)" % sup)
@@ -235,7 +235,7 @@ def test_criterion_09_correlation_variances():
     reps = 10**4
     freqs = ts.replica_frequencies(probs, model, 9, range(reps))
     values = ts.correlations_from_frequencies(freqs, 2)
-    j_index = (digits(np.arange(16), 4, 2) == 0).sum(axis=1)  # identity factors
+    j_index = sum(d == 0 for d in np.unravel_index(np.arange(16), (4, 4)))  # identity factors
     variances = values.var(axis=0, ddof=1)
     full = variances[j_index == 0] * 300.0        # ratio to 1/N
     single = variances[(j_index == 1) & (np.arange(16) != 0)] * 900.0  # to 1/(3N)

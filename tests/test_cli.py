@@ -408,19 +408,35 @@ def test_rank_test_usage_errors(tmp_path, capsys):
         ("rank-test", "--in", str(ens_dir), "--replica", "99"),
         # significance bounds
         ("rank-test", "--in", str(ens_dir), "--significance", "1.0"),
-        # qubit override contradicting the ensemble
-        ("rank-test", "--in", str(ens_dir), "--qubits", "2"),
-        # qubit override contradicting the file's 8 eigenvalues
-        ("rank-test", "--eigenvalues", str(eig_path), "--counts", "3000", "--qubits", "4"),
         # no events per setting
         ("rank-test", "--eigenvalues", str(eig_path), "--counts", "0"),
-        # a qubit number below 1
-        ("rank-test", "--eigenvalues", str(eig_path), "--counts", "100", "--qubits", "-1"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"0.5\n\xff0.5\n", "cannot parse"),
+    (b"", "expected 2 eigenvalues, got 0"),
+    (b"1.0\n", "expected 2 eigenvalues, got 1"),
+], ids=["not-utf-8", "empty", "one-value"])
+def test_rank_test_reports_a_bad_eigenvalue_file_as_a_usage_error(tmp_path, capsys, content,
+                                                                  message):
+    """A file that is not UTF-8 cannot be parsed; too few values are too few eigenvalues.
+
+    A stray byte used to exit 2 with the raw codec error, and 0 or 1
+    values read as a qubit number out of range, which the user never gave.
+    """
+    eig_path = tmp_path / "eigs.txt"
+    eig_path.write_bytes(content)
+    code, _, err = run_cli(
+        capsys, "rank-test", "--eigenvalues", str(eig_path), "--counts", "100"
+    )
+    assert code == 1
+    assert message in err
+    assert "qubit number" not in err
 
 
 def test_rank_test_rejects_wrong_eigenvalue_count(tmp_path, capsys):

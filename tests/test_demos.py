@@ -1,13 +1,22 @@
-"""The demos that replay replicas through the estimator run to completion.
+"""The demos and the README's examples still match the package.
 
-Each demo runs in a fresh interpreter with ``src`` on the import path, as
-``python demos/<name>.py`` would from the repository root.
+The demos that replay replicas through the estimator run to completion:
+each runs in a fresh interpreter with ``src`` on the import path, as
+``python demos/<name>.py`` would from the repository root.  The other
+demos take too long to run here, so every ``tomospectra`` name that a
+demo or a README ``python`` block uses is read with ``ast`` and resolved.
 """
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +43,82 @@ def test_complete_vs_overcomplete_demo():
     out = run_demo("complete_vs_overcomplete.py")
     assert "complete      m2 =" in out
     assert "each cloud prefers its own law" in out
+
+
+def tomospectra_names(source):
+    """Every dotted ``tomospectra`` name ``source`` uses, as (module, attribute path).
+
+    A name bound by ``import tomospectra[.sub] [as x]`` or ``from
+    tomospectra[.sub] import y [as x]`` is followed through each attribute
+    chain rooted at it, so ``ts.SemicircleModel.for_noise`` yields
+    ("tomospectra", ("SemicircleModel", "for_noise")).
+    """
+    tree = ast.parse(source)
+    bound, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "tomospectra":
+                    if alias.asname:
+                        bound[alias.asname] = (alias.name, ())
+                    else:
+                        bound["tomospectra"] = ("tomospectra", ())
+                    names.add((alias.name, ()))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tomospectra":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (node.module, (alias.name,))
+                names.add((node.module, (alias.name,)))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            module, path = bound[node.id]
+            names.add((module, path + tuple(chain)))
+    return names
+
+
+def readme_python_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                      re.DOTALL)
+
+
+def resolves(module, path):
+    obj = importlib.import_module(module)
+    for attr in path:
+        if isinstance(obj, types.ModuleType) and not hasattr(obj, attr):
+            importlib.import_module("%s.%s" % (obj.__name__, attr))  # a submodule
+        obj = getattr(obj, attr)
+    return obj
+
+
+SOURCES = {path.name: path.read_text(encoding="utf-8")
+           for path in sorted((ROOT / "demos").glob("*.py"))}
+SOURCES.update(("README block %d" % i, block) for i, block in enumerate(readme_python_blocks()))
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_every_tomospectra_name_a_demo_or_the_readme_uses_exists(name):
+    names = tomospectra_names(SOURCES[name])
+    assert names
+    missing = []
+    for module, path in sorted(names):
+        try:
+            resolves(module, path)
+        except (ImportError, AttributeError):
+            missing.append(".".join((module,) + path))
+    assert not missing, missing
+
+
+def test_the_name_reader_follows_imports_and_attribute_chains():
+    source = ("import tomospectra as ts\n"
+              "from tomospectra.gof import estimate_rank as er\n"
+              "ts.SemicircleModel.for_noise(2, 100).radius\n"
+              "er.missing\n")
+    assert tomospectra_names(source) == {
+        ("tomospectra", ()), ("tomospectra", ("SemicircleModel",)),
+        ("tomospectra", ("SemicircleModel", "for_noise")),
+        ("tomospectra.gof", ("estimate_rank",)), ("tomospectra.gof", ("estimate_rank", "missing"))}
+    with pytest.raises(AttributeError):
+        resolves("tomospectra.gof", ("estimate_rank", "missing"))

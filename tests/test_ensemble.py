@@ -32,6 +32,7 @@ from tomospectra.ensemble import (
     run_ensemble,
     save_ensemble,
 )
+from tomospectra.estimation import build_complete_frame
 from tomospectra.pauli import StateSpec, build_state
 from tomospectra.sampling import MULTINOMIAL, POISSON, CountModel
 from tomospectra.schemas import load_schema
@@ -428,6 +429,23 @@ def test_complete_scheme_runs():
     np.testing.assert_allclose(ens.spectra.sum(axis=1), 1.0, atol=1e-9)
     summary = ens.summary()
     assert summary["scheme"] == "complete"
+
+
+def test_a_frame_edited_by_one_caller_reaches_no_later_run():
+    """Each `build_complete_frame` call builds its own frame, arrays included.
+
+    While the frame was cached, every caller got the same writable arrays:
+    adding 0.01 to two entries of one caller's n=2 frame changed the
+    spectra of every later n=2 complete-scheme run in the process.
+    """
+    cfg = ExperimentConfig.complete(StateSpec(kind="white_noise", n=2), total_counts=40000.0,
+                                    replicas=6, master_seed=5)
+    before = run_ensemble(cfg).spectra.tobytes()
+    frame, other = build_complete_frame(2), build_complete_frame(2)
+    assert frame is not other
+    assert not np.shares_memory(frame.entries, other.entries)
+    frame.entries[0, :2] += 0.01
+    assert run_ensemble(cfg).spectra.tobytes() == before
 
 
 @pytest.mark.parametrize("scheme", [OVERCOMPLETE, COMPLETE])
@@ -870,14 +888,15 @@ def test_a_bad_replica_index_in_any_block_is_malformed(tmp_path, line):
 
 
 def test_moments_hold_one_buffer_beside_the_rows():
-    """The moments hold one buffer of powers and a block of centred values.
+    """The moments hold one buffer of powers, centred and raised in place.
 
     On 20 000 n=2 rows tracemalloc put the peak at 2.00 times the pooled
-    bytes when a centred copy was held beside each power, and at 1.10
-    times with one buffer filled a block at a time.
+    bytes when a centred copy was held beside each power, at 1.10 times
+    with one buffer filled from centred blocks, and at 1.003 times with
+    the buffer centred and raised in place.
     """
     ens = synthetic_ensemble(2, 20000)
-    assert _traced_peak(ens.moments, 8) < 1.5 * ens.pooled.nbytes
+    assert _traced_peak(ens.moments, 8) < 1.05 * ens.pooled.nbytes
 
 
 @hyp_settings(max_examples=60, deadline=None)

@@ -18,7 +18,6 @@ from tomospectra.pauli import (
     StateSpec,
     build_state,
     correlation_tensor_values,
-    digits,
     kron_all,
 )
 
@@ -179,7 +178,7 @@ def test_complete_frame_projector_probabilities():
     rho = build_state(StateSpec(kind="rank_r_plus_noise", n=2, q=0.7, r=2, seed=4))
     p = frame.probabilities(correlation_tensor_values(rho, 2))
     for v in range(16):
-        ket = kron_all(FRAME_KETS[digits(v, 4, 2)])
+        ket = kron_all(FRAME_KETS[base_digits(v, 4, 2)])
         assert p[v] == pytest.approx((ket.conj() @ rho @ ket).real, abs=1e-12)
 
 

@@ -104,7 +104,7 @@ a2_cdf = ts.a2_null_cdf(2.0)
 after_rank_test = heavy_modules()
 
 laplace = ts.laplace_model(3, 1e5)
-single_qubit_cdf = ts.single_qubit_density(100).cdf(0.5)
+single_qubit_cdf = ts.SingleQubitModel(100).cdf(0.5)
 after_models = heavy_modules()
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -143,8 +143,7 @@ def test_import_loads_no_scipy():
     included, runs on NumPy, click and the standard library.  The pytest
     process has SciPy loaded already, hence the subprocess.
     """
-    from tomospectra import (a2_null_cdf, estimate_rank, laplace_model,
-                             single_qubit_density)
+    from tomospectra import SingleQubitModel, a2_null_cdf, estimate_rank, laplace_model
 
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -159,7 +158,7 @@ def test_import_loads_no_scipy():
     # the cold process gives the in-process values, and the lazy import resolves
     assert cold["rank_report"] == estimate_rank(cold["row"], 3, 200).to_json()
     assert cold["a2_cdf"] == a2_null_cdf(2.0)
-    assert cold["single_qubit_cdf"] == single_qubit_density(100).cdf(0.5)
+    assert cold["single_qubit_cdf"] == SingleQubitModel(100).cdf(0.5)
     laplace = laplace_model(3, 1e5)
     assert cold["laplace"] == [laplace.center, laplace.alpha]
 

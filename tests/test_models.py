@@ -18,7 +18,6 @@ from tomospectra.models import (
     physicality_probability,
     semicircle_center,
     semicircle_radius,
-    single_qubit_density,
 )
 from tomospectra.pauli import StateSpec
 from tomospectra.sampling import MULTINOMIAL, CountModel
@@ -102,7 +101,7 @@ def test_signal_weight_is_one_rule(call, q, message):
 
 
 @pytest.mark.parametrize("call, value", [
-    (single_qubit_density, 100),
+    (SingleQubitModel, 100),
     (lambda n: semicircle_radius(n, 100), 3),
     (lambda n: laplace_model(n, 1e4), 2),
     (lambda n: min_counts(n, 0.5), 1),
@@ -345,8 +344,7 @@ def test_counts_in_the_closed_form_laws_are_finite_numbers():
 
 def test_single_qubit_normalization_closed_form():
     for counts in (1, 100, 1000):
-        model = single_qubit_density(counts)
-        assert isinstance(model, SingleQubitModel)
+        model = SingleQubitModel(counts)
         assert model.normalization == math.sqrt(2.0 / math.pi) * counts**1.5
         # the closed form integrates the density to 1 (the mass beyond
         # 0.5 +- 20/sqrt(N) is below e^-800)
@@ -357,7 +355,7 @@ def test_single_qubit_normalization_closed_form():
 
 
 def test_single_qubit_pdf_cdf():
-    model = single_qubit_density(100)
+    model = SingleQubitModel(100)
     lo, hi = 0.5 - 1.0, 0.5 + 1.0
     mass, _ = integrate.quad(model.pdf, lo, hi, points=[0.5])
     assert mass == pytest.approx(1.0, abs=1e-7)
@@ -374,7 +372,7 @@ def test_single_qubit_pdf_cdf():
 
 def test_single_qubit_limits_at_infinity():
     # a RuntimeWarning fails the test too (pytest turns warnings into errors)
-    model = single_qubit_density(100)
+    model = SingleQubitModel(100)
     assert model.pdf(np.inf) == 0.0 and model.pdf(-np.inf) == 0.0
     assert model.cdf(-np.inf) == 0.0 and model.cdf(np.inf) == 1.0
     x = np.array([-np.inf, 0.4, np.inf])
@@ -387,7 +385,7 @@ def test_single_qubit_far_tails_are_the_limits():
     # (1 - 2x)**2 overflowed from |x| ~ 6.7e153 on: the pdf was NaN with two
     # RuntimeWarnings, which fail the test too
     for counts in (1, 9, 100, 10**6):
-        model = single_qubit_density(counts)
+        model = SingleQubitModel(counts)
         x = np.array([-1.7e308, -1e200, -19.5, 20.5, 1e200, 1.7e308])
         np.testing.assert_array_equal(model.pdf(x), 0.0)
         cdf = model.cdf(x)
@@ -403,8 +401,6 @@ def test_single_qubit_far_tails_are_the_limits():
 
 
 def test_single_qubit_validation():
-    with pytest.raises(ValueError):
-        single_qubit_density(0)
     # the model itself holds only N, so every instance integrates to 1
     for bad in (0, -3, 1.5, True):
         with pytest.raises(ValueError, match="counts must be"):
