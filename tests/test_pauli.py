@@ -291,8 +291,8 @@ def test_ghz_and_dicke_vectors():
     assert all(bin(i).count("1") == 2 for i in support)
     np.testing.assert_allclose(np.abs(d[support]), 1 / np.sqrt(6))
     for n in range(1, MAX_QUBITS_DENSE + 1):
+        ones = np.array([bin(i).count("1") for i in range(2**n)])
         for k in range(n + 1):
-            ones = np.array([bin(i).count("1") for i in range(2**n)])
             np.testing.assert_allclose(dicke_vector(n, k), (ones == k) / np.sqrt((ones == k).sum()),
                                        rtol=0, atol=1e-15)
 

@@ -25,11 +25,9 @@ def docstring_lines(tree):
     """The line numbers of every module, class and function docstring in ``tree``."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
-                    and isinstance(body[0].value.value, str)):
-                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     return lines
 
 
