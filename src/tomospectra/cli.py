@@ -94,12 +94,15 @@ def _library_checks():
         raise click.UsageError(str(exc)) from exc
 
 
-def _signal_rank(q, rank=None):
-    """The rank the laws take: 0 with no signal weight, else ``rank`` or 1.
+def _signal_rank(q, rank=None, dim=None):
+    """The rank the laws take: 0 for white noise, else ``rank`` or 1.
 
-    A state with no signal weight is white noise whatever its kind.
+    A state with no signal weight is white noise whatever its kind, and so
+    is one whose signal has the full rank ``dim``: that signal is I/dim.
     """
-    return 0 if q == 0 else 1 if rank is None else rank
+    if q == 0 or rank is not None and rank == dim:
+        return 0
+    return 1 if rank is None else rank
 
 
 @click.group()
@@ -238,8 +241,9 @@ def _overlay_model(config):
         model = models.SingleQubitModel(counts)
         return model, {"family": "single_qubit", "counts": counts,
                        "normalization": model.normalization}
-    r = _signal_rank(state.q, state.r if state.kind == "rank_r_plus_noise" else None)
-    model = models.SemicircleModel.for_state(n, counts, state.q, r)
+    r = _signal_rank(state.q, state.r if state.kind == "rank_r_plus_noise" else None, 2**n)
+    model = (models.SemicircleModel.for_state(n, counts, state.q, r) if r
+             else models.SemicircleModel.for_noise(n, counts))
     return model, {"family": "semicircle", "center": model.center,
                    "radius": model.radius, "width": 2.0 * model.radius}
 
@@ -260,7 +264,7 @@ def analyze(in_dir, bins, out_dir, fmt):
     out_dir = in_dir if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    pooled = np.sort(ensemble.pooled)
+    pooled = ensemble.pooled
     model, model_doc = _overlay_model(ensemble.config)
 
     edges = np.histogram_bin_edges(pooled, bins=bins)
@@ -268,10 +272,9 @@ def analyze(in_dir, bins, out_dir, fmt):
     density = hist / (pooled.size * np.diff(edges))
 
     # grid covering both the data range and the model's own scale
-    lo = min(pooled[0], model_doc.get("center", pooled[0])
-             - 1.2 * model_doc.get("radius", 0.0))
-    hi = max(pooled[-1], model_doc.get("center", pooled[-1])
-             + 1.2 * model_doc.get("radius", 0.0))
+    low, high = pooled.min(), pooled.max()
+    lo = min(low, model_doc.get("center", low) - 1.2 * model_doc.get("radius", 0.0))
+    hi = max(high, model_doc.get("center", high) + 1.2 * model_doc.get("radius", 0.0))
     grid = np.linspace(lo, hi, 513)
 
     doc = ensemble.summary()

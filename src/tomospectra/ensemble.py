@@ -124,10 +124,7 @@ class ExperimentConfig:
             if self.total_counts is None:
                 raise ValueError("complete scheme requires total_counts")
             object.__setattr__(self, "total_counts", _positive("total_counts", self.total_counts))
-        replicas = _integer("replicas", self.replicas)
-        if replicas < 1:
-            raise ValueError("replicas must be a positive integer")
-        object.__setattr__(self, "replicas", replicas)
+        object.__setattr__(self, "replicas", _integer("replicas", self.replicas, 1))
         object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
 
     @classmethod
@@ -228,9 +225,7 @@ class SpectrumEnsemble:
         The moments hold one buffer as large as the pooled sample, not a
         centred copy beside each power.
         """
-        if _integer("k_max", k_max) < 2:
-            raise ValueError("k_max must be at least 2")
-        return _central_moments(self.pooled, k_max)
+        return _central_moments(self.pooled, _integer("k_max", k_max, 2))
 
     def unphysical_fraction(self):
         """Fraction of replicas with at least one negative eigenvalue."""
@@ -419,9 +414,7 @@ def run_ensemble(config, workers=1, progress=None):
     the number of replicas before the stack (in process) or the task
     (across workers) that failed.
     """
-    workers = _integer("worker count", workers)
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
+    workers = _integer("worker count", workers, 1)
     total = config.replicas
     rows = np.empty((total, 2 ** config.state.n))
     size = max(1, _STACK_ENTRIES // 6**config.state.n)

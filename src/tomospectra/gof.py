@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .models import SemicircleModel, _check_n, semicircle_radius
-from .pauli import _integer
+from .pauli import _integer, _real
 
 _CLAMP = 1e-15
 
@@ -207,38 +207,45 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
     Parameters
     ----------
     spectrum : array_like
-        The 2**n measured eigenvalues; sorted internally.
+        The 2**n measured eigenvalues, all finite; sorted internally.
     n : int
         Qubit number (redundant with the spectrum length; validated).
     counts : int
         Events per setting N used for the measurement; sets the radius.
     significance : float
-        Acceptance threshold for the effective P-value.
+        Acceptance threshold for the effective P-value, a real number
+        strictly between 0 and 1.
     max_rank : int, optional
-        Largest candidate rank; defaults to min(2**n - 5, 10) so the
-        tested noise band never drops below 5 eigenvalues.
+        Largest candidate rank, in 0..2**n - 5; defaults to
+        min(2**n - 5, 10) so the tested noise band never drops below 5
+        eigenvalues.
 
     Returns
     -------
     RankTestReport
         Rows for every candidate r; ``chosen_rank`` is the smallest r
         with p_eff >= significance and a positive center, or None.
+
+    An input outside these rules raises ValueError before any candidate
+    is tested; a non-finite eigenvalue is one, since it has no place in a
+    noise band.
     """
     eigs = np.sort(np.asarray(spectrum, dtype=float))
     n = _check_n(n)
     dim = 2**n
     if eigs.size != dim:
         raise ValueError("expected %d eigenvalues, got %d" % (dim, eigs.size))
+    if not np.isfinite(eigs).all():
+        raise ValueError("eigenvalues must be finite")
+    significance = _real("significance", significance)
     if not 0.0 < significance < 1.0:
-        raise ValueError("significance must lie strictly between 0 and 1")
+        raise ValueError("significance must lie strictly between 0 and 1, got %r" % significance)
     hard_cap = dim - 5
     if hard_cap < 0:
         raise ValueError("rank testing needs at least 5 eigenvalues (n >= 3)")
     if max_rank is None:
         max_rank = min(hard_cap, 10)
-    max_rank = _integer("max_rank", max_rank)
-    if not 0 <= max_rank <= hard_cap:
-        raise ValueError("max_rank must lie in 0..%d" % hard_cap)
+    max_rank = _integer("max_rank", max_rank, 0, hard_cap)
 
     lam_min = float(eigs[0])
     rows = []
@@ -250,12 +257,9 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
         model = SemicircleModel(center=center, radius=radius)
         lo, hi = model.support
         in_support = bool(noise[0] >= lo and noise[-1] <= hi)
-        if np.isfinite(noise).all():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                statistic, p_value = anderson_darling(noise, model.cdf)
-        else:  # a NaN or inf sorts to an end of the band and fails the support check
-            statistic = p_value = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            statistic, p_value = anderson_darling(noise, model.cdf)
         p_eff = p_value if in_support else 0.0
         width = 2.0 * radius
         signal_count = int(np.count_nonzero(eigs > lam_min + width))

@@ -30,17 +30,11 @@ MAX_QUBITS_ANALYTIC = 10
 
 
 def _check_n(n):
-    n = _integer("qubit number", n)
-    if not 1 <= n <= MAX_QUBITS_ANALYTIC:
-        raise ValueError("qubit number must be in 1..%d" % MAX_QUBITS_ANALYTIC)
-    return n
+    return _integer("qubit number", n, 1, MAX_QUBITS_ANALYTIC)
 
 
 def _check_rank(n, r):
-    r = _integer("rank r", r)
-    if not 0 <= r < 2**n:
-        raise ValueError("rank r must lie in 0..2**n - 1")
-    return r
+    return _integer("rank r", r, 0, 2**n - 1)
 
 
 def semicircle_center(n, q=0.0, r=0):
@@ -60,10 +54,9 @@ def semicircle_radius(n, counts, r=0):
     correction shrinks the radius because r eigenvalues leave the bulk.
     """
     n = _check_n(n)
-    if _real("counts", counts) < 1:
-        raise ValueError("counts must be >= 1")
+    counts = _real("counts", counts, 1)
     r = _check_rank(n, r)
-    base = 2.0 * math.sqrt((10**n - 1) / (12**n * float(counts)))
+    base = 2.0 * math.sqrt((10**n - 1) / (12**n * counts))
     return base * math.sqrt(1.0 - r / 2**n)
 
 
@@ -75,8 +68,8 @@ class SemicircleModel:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "center", _real("center", self.center))
+        object.__setattr__(self, "radius", _positive("radius", self.radius))
 
     @classmethod
     def for_noise(cls, n, counts):
@@ -112,9 +105,7 @@ class SemicircleModel:
 
     def central_moment(self, k):
         """k-th central moment: 0 for odd k, else C_{k/2} (R/2)**k."""
-        k = _integer("moment order", k)
-        if k < 1:
-            raise ValueError("moment order must be >= 1")
+        k = _integer("moment order", k, 1)
         if k % 2:
             return 0.0
         return catalan(k // 2) * (self.radius / 2.0) ** k
@@ -127,9 +118,7 @@ def catalan(k):
     at every step.  Python integers are unbounded, so no overflow occurs
     at any k.
     """
-    k = _integer("k", k)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _integer("k", k, 0)
     c = 1
     for i in range(k):
         c = c * 2 * (2 * i + 1) // (i + 2)
@@ -189,8 +178,8 @@ class LaplaceModel:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("decay rate alpha must be positive")
+        object.__setattr__(self, "center", _real("center", self.center))
+        object.__setattr__(self, "alpha", _positive("decay rate alpha", self.alpha))
 
     def _decay(self, x):
         # alpha |x - c|, capped at 746 where exp(-746) has underflowed to 0,
@@ -251,9 +240,7 @@ class SingleQubitModel:
     counts: int
 
     def __post_init__(self):
-        if _integer("counts", self.counts) < 1:
-            raise ValueError("counts must be >= 1")
-        object.__setattr__(self, "counts", int(self.counts))
+        object.__setattr__(self, "counts", _integer("counts", self.counts, 1))
 
     @property
     def normalization(self):

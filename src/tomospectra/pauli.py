@@ -127,29 +127,43 @@ def apply_per_qubit(block, vec, n):
     return t.reshape(batch + (-1,))
 
 
-def _integer(name, value):
-    """``value`` as an int; its type must be an integer type other than bool.
+def _bounded(name, value, low, high):
+    """``value`` if it lies in [low, high]; no ``low`` means no range, no ``high`` no upper bound.
+
+    The one message of a value out of range names the input, its range
+    and the value it got.
+    """
+    if low is None or low <= value and (high is None or value <= high):
+        return value
+    span = "be >= %s" % low if high is None else "lie in %s..%s" % (low, high)
+    raise ValueError("%s must %s, got %r" % (name, span, value))
+
+
+def _integer(name, value, low=None, high=None):
+    """``value`` as an int in [low, high]; its type must be an integer type other than bool.
 
     A float or a bool is rejected, not truncated: int(100.7) would silently
     drop events, seed=3.7 would replay seed 3 and True would pass for 1.
+    Either bound may be left out; `_bounded` words the refusal.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("%s must be an integer, got %r" % (name, value))
-    return int(value)
+    return _bounded(name, int(value), low, high)
 
 
-def _real(name, value):
-    """``value`` as a finite float; its type must be a real number type other than bool.
+def _real(name, value, low=None, high=None):
+    """``value`` as a finite float in [low, high]; its type must be a real number type other than bool.
 
     True would pass for 1, "0.5" read from a config.json is malformed, and
-    NaN fails every range check.
+    NaN fails every range check.  Either bound may be left out; `_bounded`
+    words the refusal.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError("%s must be a number, got %r" % (name, value))
     value = float(value)
     if not np.isfinite(value):
         raise ValueError("%s must be finite, got %r" % (name, value))
-    return value
+    return _bounded(name, value, low, high)
 
 
 def _positive(name, value):
@@ -161,24 +175,17 @@ def _positive(name, value):
 
 def _signal_weight(q):
     """``q`` as a float in [0, 1], the weight of a state's signal part (see `_real`)."""
-    q = _real("signal weight q", q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("signal weight q must lie in [0, 1]")
-    return q
+    return _real("signal weight q", q, 0, 1)
 
 
 def _seed(name, value):
     """``value`` as an int in 0..2**64 - 1: it becomes a 64-bit Philox key word."""
-    if not 0 <= _integer(name, value) < 2**64:
-        raise ValueError("%s must lie in 0..2**64 - 1" % name)
-    return int(value)
+    return _integer(name, value, 0, 2**64 - 1)
 
 
 def _dense_qubits(n):
     """``n`` as an int in 1..MAX_QUBITS_DENSE, the registers simulated densely."""
-    if not 1 <= _integer("n", n) <= MAX_QUBITS_DENSE:
-        raise ValueError("qubit number must be an integer in 1..%d" % MAX_QUBITS_DENSE)
-    return int(n)
+    return _integer("n", n, 1, MAX_QUBITS_DENSE)
 
 
 def _known_keys(block, doc, known):
@@ -246,17 +253,15 @@ class StateSpec:
         if self.kind not in STATE_KINDS:
             raise ValueError("unknown state kind %r" % (self.kind,))
         object.__setattr__(self, "n", _dense_qubits(self.n))
-        # k=1.5 would build a NaN state
-        for name in ("r", "k"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        # k=1.5 would build a NaN state; each kind bounds its own field
+        r_range = (1, 2**self.n) if self.kind == "rank_r_plus_noise" else ()
+        k_range = (0, self.n) if self.kind == "dicke_plus_noise" else ()
+        object.__setattr__(self, "r", _integer("signal rank r", self.r, *r_range))
+        object.__setattr__(self, "k", _integer("Dicke excitation number k", self.k, *k_range))
         object.__setattr__(self, "seed", _seed("seed", self.seed))
         object.__setattr__(self, "q", _signal_weight(self.q))
         if self.kind == "white_noise" and self.q != 0.0:
             raise ValueError("white noise has no signal part; q must be 0")
-        if self.kind == "rank_r_plus_noise" and not 1 <= self.r <= 2**self.n:
-            raise ValueError("signal rank r must lie in 1..2**n")
-        if self.kind == "dicke_plus_noise" and not 0 <= self.k <= self.n:
-            raise ValueError("Dicke excitation number k must lie in 0..n")
         if self.kind == "explicit_matrix" and self.matrix is None:
             raise ValueError("explicit_matrix spec needs a matrix")
 
@@ -288,8 +293,7 @@ def ghz_vector(n):
 
 def dicke_vector(n, k):
     """Symmetric state with k excitations, equal weight on all C(n, k) terms."""
-    if not 0 <= k <= n:
-        raise ValueError("excitation number k must lie in 0..n")
+    k = _integer("excitation number k", k, 0, n)
     psi = np.zeros(2**n, dtype=complex)
     # the basis states whose n bits hold k ones
     psi[sum(np.unravel_index(np.arange(2**n), (2,) * n)) == k] = 1.0

@@ -103,7 +103,5 @@ class CountModel:
     def __post_init__(self):
         if self.mode not in (MULTINOMIAL, POISSON):
             raise ValueError("count model mode must be multinomial or poisson")
-        events = _integer("events per setting", self.events_per_setting)
-        if events < 1:
-            raise ValueError("events per setting must be >= 1")
-        object.__setattr__(self, "events_per_setting", events)
+        object.__setattr__(self, "events_per_setting",
+                           _integer("events per setting", self.events_per_setting, 1))

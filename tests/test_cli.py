@@ -271,6 +271,16 @@ def test_analyze_semicircle_overlay(tmp_path, capsys):
         assert stored == doc
 
 
+def test_analyze_reads_a_full_rank_signal_as_white_noise(tmp_path, capsys):
+    """A rank-2**n signal is I/2**n, so the state is white noise and gets its law."""
+    ens_dir = simulate_small(tmp_path, capsys, state="rank", state_rank="4", q="0.5",
+                             counts="100", reps="20")
+    doc = run_json(capsys, "analyze", "--in", str(ens_dir))
+    assert doc["model"]["family"] == "semicircle"
+    assert doc["model"]["center"] == 0.25
+    assert doc["model"]["radius"] == models.semicircle_radius(2, 100)
+
+
 def test_analyze_single_qubit_family(tmp_path, capsys):
     ens_dir = simulate_small(tmp_path, capsys, qubits="1", counts="100", reps="30")
     doc = run_json(capsys, "analyze", "--in", str(ens_dir))
@@ -437,6 +447,17 @@ def test_rank_test_reports_a_bad_eigenvalue_file_as_a_usage_error(tmp_path, caps
     assert code == 1
     assert message in err
     assert "qubit number" not in err
+
+
+def test_rank_test_reports_a_nan_eigenvalue_as_a_usage_error(tmp_path, capsys):
+    """A NaN eigenvalue used to exit 0 with a NaN statistic, which is not JSON."""
+    eig_path = tmp_path / "eigs.txt"
+    eig_path.write_text("nan " + " ".join(["0.125"] * 7) + "\n")
+    code, out, err = run_cli(capsys, "rank-test", "--eigenvalues", str(eig_path),
+                             "--counts", "100", "--format", "json")
+    assert code == 1
+    assert "eigenvalues must be finite" in err
+    assert out == ""
 
 
 def test_rank_test_rejects_wrong_eigenvalue_count(tmp_path, capsys):

@@ -208,7 +208,7 @@ def test_estimate_complete_validation():
 def test_complete_frame_takes_the_dense_qubit_range():
     """The frame's qubit range is the dense rule's, with the state spec's message."""
     for n in (0, MAX_QUBITS_DENSE + 1):
-        with pytest.raises(ValueError, match="qubit number must be an integer in 1..6"):
+        with pytest.raises(ValueError, match="n must lie in 1..6, got %d" % n):
             build_complete_frame(n)
     with pytest.raises(ValueError, match="n must be an integer"):
         build_complete_frame(2.5)
