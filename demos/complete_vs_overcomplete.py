@@ -37,7 +37,7 @@ comp = ts.run_ensemble(ts.ExperimentConfig.complete(
     ts.StateSpec(kind="white_noise", n=N_QUBITS),
     total_counts=TOTAL, replicas=REPLICAS, master_seed=2))
 
-semi = ts.SemicircleModel.for_noise(N_QUBITS, per_setting)
+semi = ts.SemicircleModel.for_state(N_QUBITS, per_setting)
 lap = ts.laplace_model(N_QUBITS, TOTAL)
 
 for name, ens, m2_pred in [

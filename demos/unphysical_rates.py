@@ -28,9 +28,9 @@ for n in (1, 2, 3, 4):
         master_seed=100 + n,
     )
     fraction = ts.run_ensemble(config).unphysical_fraction()
-    model = ts.SemicircleModel.for_noise(n, EVENTS)
+    model = ts.SemicircleModel.for_state(n, EVENTS)
     edge = model.center - model.radius
-    physical = ts.physicality_probability(model, n)
+    physical = ts.physicality_probability(n, EVENTS)
     print("  %d   %-9.5f   %-8d   %+.5f                  %.5f"
           % (n, fraction, REPLICAS[n], edge, physical))
 

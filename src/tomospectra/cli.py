@@ -94,17 +94,6 @@ def _library_checks():
         raise click.UsageError(str(exc)) from exc
 
 
-def _signal_rank(q, rank=None, dim=None):
-    """The rank the laws take: 0 for white noise, else ``rank`` or 1.
-
-    A state with no signal weight is white noise whatever its kind, and so
-    is one whose signal has the full rank ``dim``: that signal is I/dim.
-    """
-    if q == 0 or rank is not None and rank == dim:
-        return 0
-    return 1 if rank is None else rank
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="tomospectra")
 def cli():
@@ -122,12 +111,13 @@ def cli():
 @click.option("--q", type=float, default=0.0, show_default=True,
               help="signal weight of the q*signal + (1-q)*I/2^n mix")
 @click.option("--rank", "rank", type=int, default=None,
-              help="signal rank r  [default: 0 for q=0, else 1]")
+              help="signal rank r in 0..2^n; 0 and 2^n are white noise  "
+                   "[default: 0 for q=0, else 1]")
 @_format_option
 def predict(qubits, counts, q, rank, fmt):
     """Predict the noise-bulk semicircle for given n, N, q, r."""
     if rank is None:
-        rank = _signal_rank(q)
+        rank = 0 if q == 0 else 1
     with _library_checks():
         model = models.SemicircleModel.for_state(qubits, counts, q, rank)
         doc = {
@@ -138,7 +128,7 @@ def predict(qubits, counts, q, rank, fmt):
             "center": model.center,
             "radius": model.radius,
             "width": 2.0 * model.radius,
-            "physicality_probability": models.physicality_probability(model, qubits),
+            "physicality_probability": models.physicality_probability(qubits, counts, q, rank),
         }
         if q > 0:
             doc["min_counts"] = models.min_counts(qubits, q)
@@ -241,9 +231,8 @@ def _overlay_model(config):
         model = models.SingleQubitModel(counts)
         return model, {"family": "single_qubit", "counts": counts,
                        "normalization": model.normalization}
-    r = _signal_rank(state.q, state.r if state.kind == "rank_r_plus_noise" else None, 2**n)
-    model = (models.SemicircleModel.for_state(n, counts, state.q, r) if r
-             else models.SemicircleModel.for_noise(n, counts))
+    r = state.r if state.kind == "rank_r_plus_noise" else 1
+    model = models.SemicircleModel.for_state(n, counts, state.q, r)
     return model, {"family": "semicircle", "center": model.center,
                    "radius": model.radius, "width": 2.0 * model.radius}
 

@@ -12,6 +12,13 @@ m2 = (R/2)**2 exact for multinomial sampling; the familiar (5/6)**(n/2)
 form is its large-n shorthand and is used only where a printed threshold
 convention requires it (see `min_counts`).
 
+`SemicircleModel.for_state` is the one constructor of that bulk and the
+one place that decides white noise: a state with q = 0, or with a signal
+of rank 0 or 2**n (that signal is I/2**n), has center 2**-n, radius R_0
+and 2**n bulk eigenvalues; any other keeps the center c above and
+2**n - r bulk eigenvalues.
+`physicality_probability` takes the same state.
+
 The complete projector scheme instead produces a two-sided exponential
 (Laplace) eigenvalue law, and a single qubit has its own exact density;
 both are provided here, together with the even-moment Catalan identities
@@ -35,6 +42,19 @@ def _check_n(n):
 
 def _check_rank(n, r):
     return _integer("rank r", r, 0, 2**n - 1)
+
+
+def _signal_rank(n, q, r):
+    """The rank the bulk laws take for a q-weighted rank-r signal: 0 for white noise.
+
+    r lies in 0..2**n.  A state with no signal weight is white noise, and
+    so is one whose signal has rank 0 or the full rank 2**n: that signal
+    is I/2**n.
+    """
+    n = _check_n(n)
+    q = _signal_weight(q)
+    r = _integer("signal rank r", r, 0, 2**n)
+    return 0 if q == 0 or r == 2**n else r
 
 
 def semicircle_center(n, q=0.0, r=0):
@@ -72,20 +92,18 @@ class SemicircleModel:
         object.__setattr__(self, "radius", _positive("radius", self.radius))
 
     @classmethod
-    def for_noise(cls, n, counts):
-        """The white-noise bulk: center 2**-n and the unshrunk radius R_0."""
-        return cls(semicircle_center(n), semicircle_radius(n, counts))
-
-    @classmethod
-    def for_state(cls, n, counts, q, r):
+    def for_state(cls, n, counts, q=0.0, r=1):
         """The noise bulk of a q-weighted rank-r signal mixed into white noise.
 
-        A single signal eigenvalue barely deforms the bulk, so r = 1 with
-        q > 0 keeps the unshrunk radius; any other r gets the rank
-        correction R_r.
+        r lies in 0..2**n.  White noise (see `_signal_rank`) has center
+        2**-n and radius R_0; the defaults give it.  Otherwise the center
+        is (1 - q)/(2**n - r).  A single signal eigenvalue barely deforms
+        the bulk, so r = 1 keeps the unshrunk radius R_0; r >= 2 gets the
+        rank correction R_r.
         """
-        center = semicircle_center(n, q, r)  # checks q and r before they are compared
-        return cls(center, semicircle_radius(n, counts, 0 if r == 1 and q > 0 else r))
+        r = _signal_rank(n, q, r)
+        return cls(semicircle_center(n, q if r else 0.0, r),
+                   semicircle_radius(n, counts, r if r > 1 else 0))
 
     @property
     def support(self):
@@ -147,27 +165,30 @@ def min_counts(n, q):
     return math.ceil(exact * (1.0 - 1e-6))
 
 
-def physicality_probability(model, n):
-    """Probability that all 2**n - 1 noise eigenvalues are nonnegative.
+def physicality_probability(n, counts, q=0.0, r=1):
+    """Probability that every noise eigenvalue of a q-weighted rank-r state is nonnegative.
 
-    Treats the eigenvalues as independent semicircle draws (the signal
-    eigenvalue sits far above zero and is excluded): the semicircle mass
-    on [max(0, c - R), c + R], raised to the 2**n - 1 power.  Equals 1
-    as soon as the support is entirely nonnegative (c >= R).
+    Builds the bulk with `SemicircleModel.for_state` and treats its
+    eigenvalues as independent semicircle draws (the signal eigenvalues
+    sit far above zero and are excluded): the semicircle mass on
+    [max(0, c - R), c + R], raised to the bulk's own eigenvalue count,
+    2**n for white noise and 2**n - r otherwise.  Equals 1 as soon as
+    the support is entirely nonnegative (c >= R).
 
     The approximation holds while the support clears zero: white noise at
     N=100 with n=2 (c - R = +0.084) is predicted always physical and
-    measured unphysical at a rate of 3e-6.  Once the edge crosses zero
-    it is too optimistic, because the eigenvalues of one replica repel
-    and its smallest one is not the minimum of independent draws: at
-    n=3 (c - R = -0.027) it predicts 0.731 physical against a measured
-    0.69-0.70, and at n=4 it predicts 0.022 against a measured < 0.001.
+    measured unphysical at a rate of 3e-6.  Once the edge crosses zero it
+    still matches at n=3 (c - R = -0.027): 0.6985 predicted against 0.697
+    measured over 10**4 replicas.  At n=4 it is too optimistic, because
+    the eigenvalues of one replica repel and its smallest one is not the
+    minimum of independent draws: it predicts 0.0175 against no physical
+    replica in 10**4.
     """
-    n = _check_n(n)
+    model = SemicircleModel.for_state(n, counts, q, r)
     lo = max(0.0, model.center - model.radius)
     mass = model.cdf(model.center + model.radius) - model.cdf(lo)
     mass = min(max(mass, 0.0), 1.0)
-    return mass ** (2**n - 1)
+    return mass ** (2**n - _signal_rank(n, q, r))
 
 
 @dataclass(frozen=True)

@@ -331,13 +331,11 @@ def build_state(spec):
     elif spec.kind == "dicke_plus_noise":
         psi = dicke_vector(n, spec.k)
         signal = np.outer(psi, psi.conj())
-    elif spec.kind == "pure_plus_noise":
-        cols = haar_orthonormal_columns(dim, 1, spec.seed)
-        signal = cols @ cols.conj().T
-    elif spec.kind == "rank_r_plus_noise":
-        cols = haar_orthonormal_columns(dim, spec.r, spec.seed)
-        # equal mixture of the r orthonormal pure states
-        signal = (cols @ cols.conj().T) / spec.r
+    elif spec.kind in ("pure_plus_noise", "rank_r_plus_noise"):
+        # equal mixture of r orthonormal pure states; a pure signal is r = 1
+        r = spec.r if spec.kind == "rank_r_plus_noise" else 1
+        cols = haar_orthonormal_columns(dim, r, spec.seed)
+        signal = (cols @ cols.conj().T) / r
     else:  # pragma: no cover - guarded by StateSpec
         raise ValueError(spec.kind)
     return spec.q * signal + (1.0 - spec.q) * noise

@@ -75,7 +75,7 @@ def test_predict_table_output(capsys):
         ("predict", "--qubits", "11", "--counts", "100"),
         ("predict", "--qubits", "3", "--counts", "0"),
         ("predict", "--qubits", "3", "--counts", "100", "--q", "1.0"),
-        ("predict", "--qubits", "3", "--counts", "100", "--rank", "8"),
+        ("predict", "--qubits", "3", "--counts", "100", "--rank", "9"),
         ("min-counts", "--qubits", "3", "--q", "1.0"),
         ("min-counts", "--qubits", "3"),
         (),
@@ -279,6 +279,26 @@ def test_analyze_reads_a_full_rank_signal_as_white_noise(tmp_path, capsys):
     assert doc["model"]["family"] == "semicircle"
     assert doc["model"]["center"] == 0.25
     assert doc["model"]["radius"] == models.semicircle_radius(2, 100)
+
+
+@pytest.mark.parametrize("rank", ["2", "4"])
+def test_predict_and_analyze_build_one_bulk(tmp_path, capsys, rank):
+    """For one state, `predict` and `analyze`'s overlay give the same semicircle.
+
+    A rank-4 signal at n=2 is I/4: `predict` reports it as asked, with
+    the white-noise bulk.
+    """
+    predicted = run_json(capsys, "predict", "--qubits", "2", "--counts", "100",
+                         "--q", "0.5", "--rank", rank)
+    validate(predicted, "predict")
+    assert predicted["rank"] == int(rank)
+    ens_dir = simulate_small(tmp_path, capsys, state="rank", state_rank=rank, q="0.5",
+                             counts="100", reps="20")
+    overlay = run_json(capsys, "analyze", "--in", str(ens_dir))["model"]
+    assert (overlay["center"], overlay["radius"]) == (predicted["center"], predicted["radius"])
+    if rank == "4":
+        assert predicted["center"] == 0.25
+        assert predicted["radius"] == models.semicircle_radius(2, 100)
 
 
 def test_analyze_single_qubit_family(tmp_path, capsys):

@@ -50,8 +50,8 @@ def tomospectra_names(source):
 
     A name bound by ``import tomospectra[.sub] [as x]`` or ``from
     tomospectra[.sub] import y [as x]`` is followed through each attribute
-    chain rooted at it, so ``ts.SemicircleModel.for_noise`` yields
-    ("tomospectra", ("SemicircleModel", "for_noise")).
+    chain rooted at it, so ``ts.SemicircleModel.for_state`` yields
+    ("tomospectra", ("SemicircleModel", "for_state")).
     """
     tree = ast.parse(source)
     bound, names = {}, set()
@@ -114,11 +114,11 @@ def test_every_tomospectra_name_a_demo_or_the_readme_uses_exists(name):
 def test_the_name_reader_follows_imports_and_attribute_chains():
     source = ("import tomospectra as ts\n"
               "from tomospectra.gof import estimate_rank as er\n"
-              "ts.SemicircleModel.for_noise(2, 100).radius\n"
+              "ts.SemicircleModel.for_state(2, 100).radius\n"
               "er.missing\n")
     assert tomospectra_names(source) == {
         ("tomospectra", ()), ("tomospectra", ("SemicircleModel",)),
-        ("tomospectra", ("SemicircleModel", "for_noise")),
+        ("tomospectra", ("SemicircleModel", "for_state")),
         ("tomospectra.gof", ("estimate_rank",)), ("tomospectra.gof", ("estimate_rank", "missing"))}
     with pytest.raises(AttributeError):
         resolves("tomospectra.gof", ("estimate_rank", "missing"))

@@ -53,14 +53,49 @@ def test_for_state_keeps_unshrunk_radius_for_one_signal_eigenvalue():
     single = SemicircleModel.for_state(6, 230, 0.8, 1)
     assert single.center == semicircle_center(6, 0.8, 1)
     assert single.radius == semicircle_radius(6, 230, 0)
-    # r > 1, or r = 1 without signal weight, gets the rank correction
+    # r > 1 gets the rank correction
     assert SemicircleModel.for_state(6, 230, 0.8, 3) == SemicircleModel(
         semicircle_center(6, 0.8, 3), semicircle_radius(6, 230, 3))
+    # r = 1 without signal weight is the state I/2**n: the white-noise bulk
     assert SemicircleModel.for_state(6, 230, 0.0, 1) == SemicircleModel(
-        semicircle_center(6, 0.0, 1), semicircle_radius(6, 230, 1))
-    # the white-noise bulk is the q = 0, r = 0 state
-    assert SemicircleModel.for_noise(6, 230) == SemicircleModel.for_state(6, 230, 0.0, 0)
-    assert SemicircleModel.for_noise(6, 230) == SemicircleModel(2.0**-6, semicircle_radius(6, 230))
+        2.0**-6, semicircle_radius(6, 230))
+    # the white-noise bulk is the default and the q = 0, r = 0 state
+    assert SemicircleModel.for_state(6, 230) == SemicircleModel.for_state(6, 230, 0.0, 0)
+    assert SemicircleModel.for_state(6, 230) == SemicircleModel(2.0**-6, semicircle_radius(6, 230))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [0.0, 0.5])
+@pytest.mark.parametrize("r", ["0", "1", "2", "dim-1", "dim"])
+def test_for_state_is_the_one_white_noise_rule(n, q, r):
+    """q = 0, r = 0 and r = 2**n are white noise; any other state keeps 2**n - r bulk eigenvalues.
+
+    At one event per setting every bulk dips below zero, so the
+    physicality probability's exponent shows the eigenvalue count.
+    """
+    dim, counts = 2**n, 1
+    r = {"0": 0, "1": 1, "2": 2, "dim-1": dim - 1, "dim": dim}[r]
+    model = SemicircleModel.for_state(n, counts, q, r)
+    if q == 0 or r in (0, dim):
+        assert model == SemicircleModel.for_state(n, counts)
+        assert model == SemicircleModel(1.0 / dim, semicircle_radius(n, counts))
+        count = dim
+    else:
+        assert model.center == (1.0 - q) / (dim - r)
+        assert model.radius == semicircle_radius(n, counts, 0 if r == 1 else r)
+        count = dim - r
+    mass = model.cdf(model.center + model.radius) - model.cdf(max(0.0, model.center - model.radius))
+    assert 0.0 < mass < 1.0
+    assert physicality_probability(n, counts, q, r) == pytest.approx(mass**count, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [SemicircleModel.for_state, physicality_probability],
+                         ids=["for-state", "physicality"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_signal_rank_lies_in_0_to_2_to_the_n(call, n):
+    for r in (-1, 2**n + 1):
+        with pytest.raises(ValueError, match="signal rank r must lie in 0..%d, got %d" % (2**n, r)):
+            call(n, 100, 0.5, r)
 
 
 def test_parameter_validation():
@@ -126,7 +161,7 @@ def test_integer_arguments_reject_floats_and_bools(call, value):
 
 
 def test_pdf_normalization_and_support():
-    model = SemicircleModel.for_noise(3, 500)
+    model = SemicircleModel.for_state(3, 500)
     lo, hi = model.support
     mass, _ = integrate.quad(model.pdf, lo, hi)
     assert mass == pytest.approx(1.0, abs=1e-10)
@@ -233,45 +268,51 @@ def test_min_counts_divergence():
 def test_physicality_probability_saturates_at_threshold():
     n, q = 6, 0.8
     n0 = min_counts(n, q)
-    model = SemicircleModel(semicircle_center(n, q, 1), semicircle_radius(n, n0, 1))
+    model = SemicircleModel.for_state(n, n0, q, 1)
     assert model.center - model.radius > 0  # threshold really clears zero
-    assert physicality_probability(model, n) == 1.0
+    assert physicality_probability(n, n0, q, 1) == 1.0
 
 
 def test_physicality_probability_below_threshold():
-    model = SemicircleModel(semicircle_center(6, 0.8, 1), semicircle_radius(6, 120000, 1))
+    model = SemicircleModel.for_state(6, 120000, 0.8, 1)
     assert model.center - model.radius < 0
-    p = physicality_probability(model, 6)
+    p = physicality_probability(6, 120000, 0.8, 1)
     assert 0.0 < p < 1.0
     # independent route: semicircle mass above zero to the 63rd power
     mass = model.cdf(model.support[1]) - model.cdf(0.0)
     assert p == pytest.approx(mass**63, rel=1e-12)
 
 
-def test_physicality_probability_overestimates_once_the_edge_crosses_zero():
-    """Pinned gap of the independence approximation (n=3, N=100).
-
-    The semicircle edge c - R sits at -0.027, so some noise eigenvalues
-    can go negative.  Independent draws give 0.731 physical, but the
-    smallest eigenvalue of a replica is not the minimum of independent
-    draws (the eigenvalues repel), and a white-noise ensemble is
-    physical less often: criterion 5 measured 0.694 over 10^4 replicas.
-    """
-    predicted = physicality_probability(SemicircleModel.for_noise(3, 100), 3)
-    assert predicted == pytest.approx(0.731, abs=5e-4)
-    replicas = 10_000
+def _physical_fraction(n, replicas):
     config = ExperimentConfig.overcomplete(
-        StateSpec(kind="white_noise", n=3), CountModel(MULTINOMIAL, 100),
+        StateSpec(kind="white_noise", n=n), CountModel(MULTINOMIAL, 100),
         replicas=replicas, master_seed=35)
-    physical = 1.0 - run_ensemble(config).unphysical_fraction()
+    return 1.0 - run_ensemble(config).unphysical_fraction()
+
+
+def test_physicality_probability_matches_at_n3_and_overestimates_at_n4():
+    """White noise at N=100 once the semicircle edge crosses zero.
+
+    At n=3 the edge c - R sits at -0.027, and the 8 independent
+    eigenvalue draws give 0.6985 physical, within 3 standard errors of
+    the 10**4 replicas.  At n=4 the independence approximation is too
+    optimistic: the smallest eigenvalue of a replica is not the minimum
+    of independent draws (the eigenvalues repel), and it predicts 0.0175
+    against no physical replica at all.
+    """
+    replicas = 10_000
+    predicted = physicality_probability(3, 100)
+    assert predicted == pytest.approx(0.6985, abs=5e-4)
+    physical = _physical_fraction(3, replicas)
     stderr = math.sqrt(physical * (1.0 - physical) / replicas)
-    assert predicted - physical > 3 * stderr
+    assert abs(predicted - physical) <= 3 * stderr
+    assert physicality_probability(4, 100) == pytest.approx(0.0175, abs=5e-4)
+    assert _physical_fraction(4, replicas) == 0.0
 
 
 def test_physicality_probability_tiny_counts():
     # deep in the unphysical regime almost every replica has a negative tail
-    model = SemicircleModel.for_noise(6, 100)
-    assert physicality_probability(model, 6) < 1e-6
+    assert physicality_probability(6, 100) < 1e-6
 
 
 # --- Laplace law (projector scheme) -------------------------------------------
