@@ -47,7 +47,6 @@ from .gof import (
     RankCandidate,
     RankTestReport,
     a2_null_cdf,
-    a2_null_sf,
     anderson_darling,
     estimate_rank,
     reconstruct_physical_estimate,

@@ -28,22 +28,20 @@ from .ensemble import (
     save_ensemble,
 )
 from .gof import estimate_rank, sup_cdf_distance
-from .pauli import StateSpec
+from .pauli import STATE_KINDS, StateSpec
 from .sampling import MULTINOMIAL, POISSON, CountModel
 
+# the short names; every state kind a config.json can hold also stands for itself
 _STATE_ALIASES = {
+    **{kind: kind for kind in STATE_KINDS if kind != "explicit_matrix"},
     "wn": "white_noise",
     "white-noise": "white_noise",
-    "white_noise": "white_noise",
     "pure": "pure_plus_noise",
-    "pure_plus_noise": "pure_plus_noise",
     "rank": "rank_r_plus_noise",
-    "rank_r_plus_noise": "rank_r_plus_noise",
     "ghz": "ghz_plus_noise",
-    "ghz_plus_noise": "ghz_plus_noise",
     "dicke": "dicke_plus_noise",
-    "dicke_plus_noise": "dicke_plus_noise",
 }
+_STATE_NAMES = "wn, pure, rank, ghz or dicke"
 
 HISTOGRAM_FILE = "histogram.csv"
 OVERLAY_FILE = "overlay.csv"
@@ -57,8 +55,6 @@ def _format_option(fn):
 
 
 def _fmt_value(value):
-    if isinstance(value, bool):
-        return "yes" if value else "no"
     if isinstance(value, float):
         return "%.6g" % value
     return str(value)
@@ -130,7 +126,7 @@ def predict(qubits, counts, q, rank, fmt):
             "width": 2.0 * model.radius,
             "physicality_probability": models.physicality_probability(qubits, counts, q, rank),
         }
-        if q > 0:
+        if models._signal_rank(qubits, q, rank) == 1:  # min_counts is the rank-1 threshold
             doc["min_counts"] = models.min_counts(qubits, q)
     _emit(doc, fmt)
 
@@ -158,7 +154,7 @@ def min_counts_cmd(qubits, q, fmt):
 @cli.command()
 @click.option("--qubits", type=int, required=True, help="number of qubits n")
 @click.option("--state", default="wn", show_default=True,
-              help="ground truth: wn, pure, rank, ghz or dicke")
+              help="ground truth: " + _STATE_NAMES)
 @click.option("--q", type=float, default=0.0, show_default=True,
               help="signal weight (0 for white noise)")
 @click.option("--state-rank", type=int, default=1, show_default=True,
@@ -190,8 +186,7 @@ def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
     """Run repeated tomography simulations and store the spectra."""
     kind = _STATE_ALIASES.get(state.lower().strip())
     if kind is None:
-        raise _bad("unknown state %r (use wn, pure, rank, ghz or dicke)" % state,
-                   "--state")
+        raise _bad("unknown state %r (use %s)" % (state, _STATE_NAMES), "--state")
     with _library_checks():
         config = ExperimentConfig(
             state=StateSpec(kind=kind, n=qubits, q=q, r=state_rank, k=excitations,
@@ -227,12 +222,11 @@ def _overlay_model(config):
         return model, {"family": "laplace", "center": model.center,
                        "alpha": model.alpha}
     counts = config.count_model.events_per_setting
-    if n == 1 and state.kind == "white_noise":
+    if n == 1 and models._signal_rank(n, state.q, state.signal_rank) == 0:
         model = models.SingleQubitModel(counts)
         return model, {"family": "single_qubit", "counts": counts,
                        "normalization": model.normalization}
-    r = state.r if state.kind == "rank_r_plus_noise" else 1
-    model = models.SemicircleModel.for_state(n, counts, state.q, r)
+    model = models.SemicircleModel.for_state(n, counts, state.q, state.signal_rank)
     return model, {"family": "semicircle", "center": model.center,
                    "radius": model.radius, "width": 2.0 * model.radius}
 
@@ -379,9 +373,7 @@ def rank_test(eig_file, in_dir, replica, counts, significance, max_rank, fmt):
 def main(argv=None):
     """Run the CLI; returns 0 (ok), 1 (usage error) or 2 (runtime error)."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        cli.main(args=argv, standalone_mode=False)  # --help and --version return 0
     except click.UsageError as exc:
         exc.show()
         return 1

@@ -98,11 +98,6 @@ def a2_null_cdf(z):
     return min(1.0, max(0.0, math.sqrt(2.0 * math.pi) / z * total))
 
 
-def a2_null_sf(z):
-    """Upper tail P(A^2 > z) of the asymptotic null."""
-    return max(0.0, 1.0 - a2_null_cdf(z))
-
-
 # ---------------------------------------------------------------------------
 # The statistic
 # ---------------------------------------------------------------------------
@@ -145,7 +140,7 @@ def anderson_darling(sample, model_cdf):
     i = np.arange(1, nbar + 1)
     s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
     statistic = -nbar - s / nbar
-    return float(statistic), a2_null_sf(statistic)
+    return float(statistic), max(0.0, 1.0 - a2_null_cdf(statistic))
 
 
 def sup_cdf_distance(sample, cdf):

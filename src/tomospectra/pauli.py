@@ -265,6 +265,15 @@ class StateSpec:
         if self.kind == "explicit_matrix" and self.matrix is None:
             raise ValueError("explicit_matrix spec needs a matrix")
 
+    @property
+    def signal_rank(self):
+        """The rank of the signal part: ``r`` for the random-rank kind, 1 for every other kind.
+
+        `models._signal_rank` folds in the weight: with q = 0 the state is
+        white noise whatever this reads.
+        """
+        return self.r if self.kind == "rank_r_plus_noise" else 1
+
     def to_json(self):
         if self.kind == "explicit_matrix":
             raise ValueError("explicit_matrix states are not JSON-serializable")
@@ -333,9 +342,8 @@ def build_state(spec):
         signal = np.outer(psi, psi.conj())
     elif spec.kind in ("pure_plus_noise", "rank_r_plus_noise"):
         # equal mixture of r orthonormal pure states; a pure signal is r = 1
-        r = spec.r if spec.kind == "rank_r_plus_noise" else 1
-        cols = haar_orthonormal_columns(dim, r, spec.seed)
-        signal = (cols @ cols.conj().T) / r
+        cols = haar_orthonormal_columns(dim, spec.signal_rank, spec.seed)
+        signal = (cols @ cols.conj().T) / spec.signal_rank
     else:  # pragma: no cover - guarded by StateSpec
         raise ValueError(spec.kind)
     return spec.q * signal + (1.0 - spec.q) * noise

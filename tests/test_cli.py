@@ -2,13 +2,16 @@
 
 import json
 
+import click
 import jsonschema
 import numpy as np
 import pytest
 
+import tomospectra
 from tomospectra import models
 from tomospectra.cli import HISTOGRAM_FILE, OVERLAY_FILE, SUMMARY_FILE, main
 from tomospectra.ensemble import load_ensemble
+from tomospectra.pauli import STATE_KINDS
 from tomospectra.schemas import load_schema
 
 
@@ -101,9 +104,23 @@ def test_min_counts_outputs(capsys):
 
 
 def test_version_and_help(capsys):
-    assert run_cli(capsys, "--version")[0] == 0
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0 and out.strip() == "tomospectra, version %s" % tomospectra.__version__
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "simulate" in out
+
+
+@pytest.mark.parametrize("q", ["0", "0.5"])
+@pytest.mark.parametrize("rank", ["0", "1", "2", "4"])
+def test_predict_prints_min_counts_for_a_rank_1_bulk_only(capsys, q, rank):
+    """min_counts is the rank-1 threshold; q = 0, r = 0 and r = 2**n are white noise."""
+    doc = run_json(capsys, "predict", "--qubits", "2", "--counts", "100", "--q", q,
+                   "--rank", rank)
+    validate(doc, "predict")
+    if (q, rank) == ("0.5", "1"):
+        assert doc["min_counts"] == 100
+    else:
+        assert "min_counts" not in doc
 
 
 # --- simulate -------------------------------------------------------------------
@@ -199,6 +216,51 @@ def test_simulate_usage_errors(tmp_path, capsys, monkeypatch, argv, threads_env)
     if threads_env is not None:  # click names the variable the bad value came from
         assert THREADS_ENV in err
     assert not out.exists()
+
+
+SHORT_STATE_NAMES = {"wn": "white_noise", "white-noise": "white_noise",
+                     "pure": "pure_plus_noise", "rank": "rank_r_plus_noise",
+                     "ghz": "ghz_plus_noise", "dicke": "dicke_plus_noise"}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_STATE_NAMES) + list(STATE_KINDS))
+def test_simulate_takes_every_short_name_and_every_stored_kind(tmp_path, capsys, name):
+    """A short alias or a state kind a config.json can hold; an explicit matrix is not one."""
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--qubits", "1", "--state", name,
+                           "--excitations", "1", "--counts", "10", "--reps", "2",
+                           "--out", str(out))
+    if name == "explicit_matrix":
+        assert code == 1
+        assert "unknown state 'explicit_matrix' (use wn, pure, rank, ghz or dicke)" in err
+        assert not out.exists()
+    else:
+        assert code == 0, err
+        assert load_ensemble(str(out)).config.state.kind == SHORT_STATE_NAMES.get(name, name)
+
+
+def test_simulate_aborted_by_ctrl_c_exits_130(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("tomospectra.cli.run_ensemble", interrupted)
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--qubits", "1", "--counts", "10",
+                           "--reps", "2", "--out", str(out))
+    assert code == 130
+    assert "aborted" in err
+    assert not out.exists()
+
+
+def test_a_click_runtime_error_exits_2(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise click.ClickException("the disk is read-only")
+
+    monkeypatch.setattr("tomospectra.cli.save_ensemble", failing)
+    code, _, err = run_cli(capsys, "simulate", "--qubits", "1", "--counts", "10",
+                           "--reps", "2", "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "Error: the disk is read-only" in err
 
 
 def test_simulate_poisson_empty_setting_is_a_runtime_error(tmp_path, capsys):
@@ -308,6 +370,18 @@ def test_analyze_single_qubit_family(tmp_path, capsys):
     assert doc["model"]["counts"] == 100
 
 
+@pytest.mark.parametrize("state, family", [
+    ({"state": "pure", "q": "0"}, "single_qubit"),
+    ({"state": "rank", "state_rank": "2", "q": "0.5"}, "single_qubit"),
+    ({"state": "pure", "q": "0.5"}, "semicircle"),
+], ids=["pure-q0", "rank2", "pure"])
+def test_analyze_gives_every_one_qubit_white_noise_the_one_qubit_law(tmp_path, capsys, state,
+                                                                     family):
+    """At n=1 a state that is I/2 gets the one-qubit law, whatever its kind (wn: see above)."""
+    ens_dir = simulate_small(tmp_path, capsys, qubits="1", counts="100", reps="30", **state)
+    assert run_json(capsys, "analyze", "--in", str(ens_dir))["model"]["family"] == family
+
+
 def test_analyze_laplace_family(tmp_path, capsys):
     out = tmp_path / "ens"
     code, _, err = run_cli(
@@ -347,7 +421,22 @@ def test_analyze_separate_out_dir(tmp_path, capsys):
     assert doc["files"]["summary"].startswith(str(report_dir))
 
 
+def test_analyze_table_flattens_the_model_and_files(tmp_path, capsys):
+    ens_dir = simulate_small(tmp_path, capsys)
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(ens_dir), "--bins", "8")
+    assert code == 0
+    rows = dict(line.split(None, 1) for line in out.strip().splitlines())
+    assert rows["model.family"] == "semicircle"
+    assert rows["model.center"] == "0.25"
+    assert rows["files.histogram"] == str(ens_dir / HISTOGRAM_FILE)
+    assert rows["bins"] == "8"
+
+
 def test_analyze_error_paths(tmp_path, capsys):
+    ens_dir = simulate_small(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "analyze", "--in", str(ens_dir), "--bins", "0")
+    assert code == 1
+    assert "must be a positive bin count" in err
     # nonexistent path is a usage error (caught by the flag validation)
     code, _, _ = run_cli(capsys, "analyze", "--in", str(tmp_path / "missing"))
     assert code == 1
@@ -410,6 +499,10 @@ def test_rank_test_table_format(tmp_path, capsys):
         "in_support", "signals",
     ]
     assert out.strip().endswith("chosen rank: 1")
+    code, out, _ = run_cli(capsys, "rank-test", "--eigenvalues", str(eig_path), "--counts",
+                           "3000", "--significance", "0.999999")
+    assert code == 0
+    assert out.strip().endswith("chosen rank: none accepted at significance 0.999999")
 
 
 def test_rank_test_from_ensemble(tmp_path, capsys):
@@ -445,6 +538,16 @@ def test_rank_test_usage_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert err
+
+
+def test_rank_test_needs_counts_for_a_complete_ensemble(tmp_path, capsys):
+    out = tmp_path / "ens"
+    code, _, err = run_cli(capsys, "simulate", "--qubits", "3", "--scheme", "complete",
+                           "--total-counts", "30000", "--reps", "2", "--out", str(out))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "rank-test", "--in", str(out))
+    assert code == 1
+    assert "required for complete-scheme ensembles" in err
 
 
 @pytest.mark.parametrize("content, message", [

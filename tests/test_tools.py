@@ -1,4 +1,4 @@
-"""The repository's own tools: the code-line counter."""
+"""The repository's own tools: the code-line counter and the untested-line lister."""
 
 import importlib.util
 import subprocess
@@ -48,3 +48,33 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path):
                            str(module)], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["7", str(module), "7", str(module), "14", "total"]
 
+
+
+TWO_FUNCTIONS = '''def called(x):
+    """Runs."""
+    y = x + 1
+    return y
+
+
+def not_called(x):
+    """Never runs,
+    over two lines."""
+    if x:
+        return [i for i in range(x)]
+    return 0
+'''
+
+
+def test_untested_lines_lists_the_body_of_the_function_not_run(tmp_path):
+    tool = load_tool("untested_lines")
+    module_path = tmp_path / "two.py"
+    module_path.write_text(TWO_FUNCTIONS)
+    # the def lines and docstrings hold no instruction of a function body
+    assert tool.executable_lines(TWO_FUNCTIONS, str(module_path)) == {3, 4, 10, 11, 12}
+    spec = importlib.util.spec_from_file_location("two", module_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    previous = sys.gettrace()
+    missing = tool.untested_lines(lambda: module.called(1), tmp_path)
+    assert sys.gettrace() is previous
+    assert missing == {module_path.resolve(): [10, 11, 12]}
