@@ -145,10 +145,7 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
         }
         if self.scheme == OVERCOMPLETE:
-            doc["count_model"] = {
-                "mode": self.count_model.mode,
-                "events_per_setting": self.count_model.events_per_setting,
-            }
+            doc["count_model"] = dataclasses.asdict(self.count_model)
         else:
             doc["total_counts"] = self.total_counts
         return doc
@@ -225,7 +222,7 @@ class SpectrumEnsemble:
         The moments hold one buffer as large as the pooled sample, not a
         centred copy beside each power.
         """
-        return _central_moments(self.pooled, _integer("k_max", k_max, 2))
+        return _central_moments(self.pooled, range(2, _integer("k_max", k_max, 2) + 1))
 
     def unphysical_fraction(self):
         """Fraction of replicas with at least one negative eigenvalue."""
@@ -234,7 +231,7 @@ class SpectrumEnsemble:
 
     def summary(self):
         """Headline numbers: pooled mean, central moments, ratios, physicality."""
-        m = self.moments(6)
+        m = _central_moments(self.pooled, (2, 4, 6))
         out = {
             "replicas": self.replicas,
             "qubits": self.n,
@@ -251,8 +248,8 @@ class SpectrumEnsemble:
         return out
 
 
-def _central_moments(values, k_max):
-    """``{k: mean((values - values.mean())**k)}`` for k = 2 .. k_max, bit for bit.
+def _central_moments(values, orders):
+    """``{k: mean((values - values.mean())**k)}`` for each k >= 2 in ``orders``, bit for bit.
 
     For each k the centred values are written into one buffer as large as
     ``values`` and raised to the k-th power in place, and the mean is
@@ -263,7 +260,7 @@ def _central_moments(values, k_max):
     mean = values.mean()
     powers = np.empty_like(values)
     moments = {}
-    for k in range(2, k_max + 1):
+    for k in orders:
         np.subtract(values, mean, out=powers)
         if k == 2:
             np.square(powers, out=powers)
@@ -358,10 +355,7 @@ def replica_estimator(config):
     seed = config.master_seed
     if config.scheme == COMPLETE:
         frame = build_complete_frame(n)
-        # detection intensity: a white-noise state's 4^n probabilities sum to
-        # 2^n, so p_v * N_total / 2^n detects N_total events in expectation
-        p_v = np.clip(frame.probabilities(correlation_tensor_values(rho, n)), 0.0, None)
-        intensity = p_v * (config.total_counts / 2**n)
+        intensity = frame.intensity(correlation_tensor_values(rho, n), config.total_counts)
         return functools.partial(_complete_estimate, frame, intensity, seed)
     probs = setting_probability_table(rho, n)
     return functools.partial(_overcomplete_estimate, probs, config.count_model, seed, n)

@@ -73,23 +73,31 @@ def correlations_from_frequencies(freqs, n):
     return values
 
 
+def _born(probs):
+    """Exact Born probabilities made safe to draw from: clipped at 0.
+
+    Both schemes' counts are drawn through here.  Roundoff negatives down
+    to -1e-12 become zero; anything lower means the state is not positive
+    and raises, since clipping it would simulate another state.
+    """
+    if probs.min() < -1e-12:
+        raise ValueError("probabilities below tolerance: min %g" % probs.min())
+    return np.clip(probs, 0.0, None)
+
+
 def setting_probability_table(rho, n):
     """(3**n, 2**n) table of the exact outcome probabilities of every setting.
 
     The forward map of `correlations_from_frequencies`: outcome r of
     setting s projects onto prod_k (1 + r_k sigma_{s_k}) / 2, so one
     (6, 4) block per qubit axis, (T_0 +- T_d) / 2, takes the exact
-    correlation values to the table.  Roundoff negatives down to -1e-12
-    are clipped to zero and each row renormalized, so every row is a
-    valid sampling distribution; anything lower, or a row that does not
-    sum to 1 within 1e-10, raises.  Runs build the table once
-    (`replica_estimator`).
+    correlation values to the table.  Roundoff negatives are clipped to
+    zero (`_born`) and each row renormalized, so every row is a valid
+    sampling distribution; a row that does not sum to 1 within 1e-10
+    raises.  Runs build the table once (`replica_estimator`).
     """
     values = correlation_tensor_values(rho, n)
-    probs = from_qubit_entries(apply_per_qubit(_PAULI_FREQUENCY, values, n), n)
-    if probs.min() < -1e-12:
-        raise ValueError("probabilities below tolerance: min %g" % probs.min())
-    probs = np.clip(probs, 0.0, None)
+    probs = _born(from_qubit_entries(apply_per_qubit(_PAULI_FREQUENCY, values, n), n))
     totals = probs.sum(axis=1)
     worst = totals[np.abs(totals - 1.0).argmax()]
     if abs(worst - 1.0) > 1e-10:
@@ -139,9 +147,16 @@ class CompleteSchemeFrame:
     block: np.ndarray
     entries: np.ndarray
 
-    def probabilities(self, values):
-        """Projector probabilities p_v = B @ T from flat correlation values."""
-        return apply_per_qubit(self.block, np.asarray(values, dtype=float), self.n)
+    def intensity(self, values, total_counts):
+        """Poisson detection rates p_v * total_counts / 2**n from flat correlation values.
+
+        p_v = B @ T are the projector probabilities, checked and clipped at
+        0 by `_born`.  The 4**n projectors of a white-noise state see 2**-n
+        each, so the p_v sum to 2**n and the rates detect ``total_counts``
+        events in expectation.
+        """
+        p_v = _born(apply_per_qubit(self.block, np.asarray(values, dtype=float), self.n))
+        return p_v * (total_counts / 2**self.n)
 
 
 def build_complete_frame(n):

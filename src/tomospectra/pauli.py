@@ -344,8 +344,6 @@ def build_state(spec):
         # equal mixture of r orthonormal pure states; a pure signal is r = 1
         cols = haar_orthonormal_columns(dim, spec.signal_rank, spec.seed)
         signal = (cols @ cols.conj().T) / spec.signal_rank
-    else:  # pragma: no cover - guarded by StateSpec
-        raise ValueError(spec.kind)
     return spec.q * signal + (1.0 - spec.q) * noise
 
 

@@ -477,6 +477,26 @@ def test_a_non_hermitian_explicit_matrix_aborts_before_any_replica():
     assert info.value.completed == 0
 
 
+def test_a_non_positive_explicit_matrix_aborts_both_schemes_alike():
+    """diag(1.2, -0.2) gives the outcome probability -0.2 in either scheme.
+
+    The complete scheme used to clip its projector probabilities at 0 and
+    run a different state, row 0 = [-0.00942, 1.00942] at N_total = 1000,
+    seed 0, where the overcomplete scheme refused the state.
+    """
+    state = StateSpec(kind="explicit_matrix", n=1, matrix=np.diag([1.2, -0.2]))
+    model = CountModel(mode=MULTINOMIAL, events_per_setting=1000)
+    messages = []
+    for cfg in (ExperimentConfig.overcomplete(state, model, replicas=4),
+                ExperimentConfig.complete(state, 1000.0, replicas=4)):
+        with pytest.raises(EnsembleRunError) as info:
+            run_ensemble(cfg)
+        assert info.value.completed == 0
+        messages.append(str(info.value))
+    assert messages == ["ensemble aborted after 0 of 4 replicas: "
+                        "probabilities below tolerance: min -0.2"] * 2
+
+
 # --- the ensemble container ------------------------------------------------------
 
 
@@ -550,6 +570,13 @@ def test_summary_contents():
     assert s["m2"] > 0
     assert "m4_over_m2_sq" in s and "m6_over_m2_cube" in s
     assert 0.0 <= s["unphysical_fraction"] <= 1.0
+
+
+def test_summary_moments_have_the_bits_of_moments():
+    """`summary` computes only m2, m4 and m6, each with the bits `moments` gives it."""
+    ens = run_ensemble(small_config(reps=20, events=500))
+    s, m = ens.summary(), ens.moments(6)
+    assert [s["m%d" % k].hex() for k in (2, 4, 6)] == [m[k].hex() for k in (2, 4, 6)]
 
 
 # --- persistence ------------------------------------------------------------------
@@ -913,7 +940,7 @@ def test_moments_have_the_bits_of_the_one_shot_expression(length, k_max, seed, s
     x = 2.0**-6 + scale * np.random.default_rng(seed).standard_normal(size)
     centered = x - x.mean()
     expected = {k: float(np.mean(centered**k)).hex() for k in range(2, k_max + 1)}
-    moments = ensemble_module._central_moments(x, k_max)
+    moments = ensemble_module._central_moments(x, range(2, k_max + 1))
     assert {k: m.hex() for k, m in moments.items()} == expected
 
 
@@ -984,6 +1011,16 @@ def test_load_malformed_config(tmp_path):
             load_ensemble(str(out))
     with pytest.raises(MalformedEnsembleError):
         load_ensemble(str(tmp_path / "no_such_dir"))
+
+
+def test_load_rejects_a_state_that_is_not_an_object(tmp_path):
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    meta["config"]["state"] = []
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(MalformedEnsembleError, match="state must be a JSON object"):
+        load_ensemble(str(out))
 
 
 @pytest.mark.parametrize("path, value", [

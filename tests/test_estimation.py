@@ -16,6 +16,7 @@ from tomospectra.pauli import (
     MAX_QUBITS_DENSE,
     SIGMA,
     StateSpec,
+    apply_per_qubit,
     build_state,
     correlation_tensor_values,
     kron_all,
@@ -160,7 +161,7 @@ def test_complete_frame_dense_transfer_invertibility(n):
     # Kronecker-factored application agrees with the dense product
     rng = np.random.default_rng(7)
     vec = rng.standard_normal(4**n)
-    np.testing.assert_allclose(frame.probabilities(vec), dense @ vec, atol=1e-10)
+    np.testing.assert_allclose(apply_per_qubit(frame.block, vec, n), dense @ vec, atol=1e-10)
     # the per-qubit estimate inverts the frame: one vector and a stack of 5
     counts = rng.poisson(100.0, size=(5, 4**n))
     expected = np.array([dual_operator_estimate(c, n) for c in counts])
@@ -171,12 +172,12 @@ def test_complete_frame_dense_transfer_invertibility(n):
 def test_complete_frame_projector_probabilities():
     frame = build_complete_frame(2)
     rho = build_state(StateSpec(kind="white_noise", n=2))
-    p = frame.probabilities(correlation_tensor_values(rho, 2))
+    p = frame.intensity(correlation_tensor_values(rho, 2), 4)
     # every rank-1 projector sees tr(P/4) = 1/4 on white noise
     np.testing.assert_allclose(p, 0.25, atol=1e-12)
     # and p_v = <v|rho|v> for the product ket v, qubit 0 leftmost, on any state
     rho = build_state(StateSpec(kind="rank_r_plus_noise", n=2, q=0.7, r=2, seed=4))
-    p = frame.probabilities(correlation_tensor_values(rho, 2))
+    p = frame.intensity(correlation_tensor_values(rho, 2), 4)
     for v in range(16):
         ket = kron_all(FRAME_KETS[base_digits(v, 4, 2)])
         assert p[v] == pytest.approx((ket.conj() @ rho @ ket).real, abs=1e-12)
@@ -185,7 +186,7 @@ def test_complete_frame_projector_probabilities():
 def test_estimate_complete_inverts_exact_data():
     rho = build_state(StateSpec(kind="pure_plus_noise", n=2, q=0.55, seed=9))
     frame = build_complete_frame(2)
-    p = frame.probabilities(correlation_tensor_values(rho, 2))
+    p = frame.intensity(correlation_tensor_values(rho, 2), 4)
     rebuilt = estimate_complete(frame, p * 1000.0)
     np.testing.assert_allclose(rebuilt, rho, atol=1e-10)
     # the trace normalization makes the estimate independent of the counts' scale

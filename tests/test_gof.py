@@ -12,6 +12,7 @@ from scipy import integrate
 from tomospectra.ensemble import ExperimentConfig, SpectrumEnsemble
 from tomospectra.gof import (
     NoAcceptedRankError,
+    RankCandidate,
     RankTestReport,
     a2_null_cdf,
     anderson_darling,
@@ -340,6 +341,15 @@ def test_reconstruct_physical_estimate_errors():
     for vectors in (np.eye(8)[:3], np.eye(8)[:, :4], np.eye(4)):
         with pytest.raises(ValueError, match="match the vectors"):
             reconstruct_physical_estimate(eigs, vectors, report)
+
+
+def test_reconstruct_physical_estimate_refuses_a_non_positive_total():
+    """Kept eigenvalues that outweigh the floored band leave nothing to normalize."""
+    rows = tuple(RankCandidate(rank=r, center=0.125, radius=0.1, statistic=0.1, p_value=0.5,
+                               p_eff=0.5, in_support=True, signal_count=r) for r in (0, 1))
+    report = RankTestReport(candidates=rows, chosen_rank=1, significance=0.05)
+    with pytest.raises(ValueError, match="non-positive total weight"):
+        reconstruct_physical_estimate(np.linspace(-2, -1, 8), np.eye(8), report)
 
 
 # --- unphysical fraction --------------------------------------------------------

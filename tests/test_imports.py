@@ -61,6 +61,18 @@ def test_register_products_live_in_pauli_only():
     assert numpy_calls(package / "pauli.py", {"kron", "tensordot"})
 
 
+def test_the_born_rule_lives_in_estimation_only():
+    """Both schemes clip their probabilities in one ``estimation`` helper, ``ensemble`` in none.
+
+    While the complete scheme clipped its own projector probabilities in
+    ``ensemble``, a state the overcomplete scheme refused ran there as a
+    different, clipped state.
+    """
+    package = ROOT / "src" / "tomospectra"
+    assert numpy_calls(package / "ensemble.py", {"clip"}) == []
+    assert len(numpy_calls(package / "estimation.py", {"clip"})) == 1
+
+
 def test_benchmark_tracer_names_exist_on_ensemble():
     """Every call the benchmark tracer wraps is still looked up on ``ensemble``.
 

@@ -209,6 +209,17 @@ def test_check_density_matrix_contract():
     check_density_matrix(np.diag([1.25, -0.25]), 1)
 
 
+def test_a_non_square_matrix_is_refused():
+    with pytest.raises(ValueError, match="must be square, got shape \\(2, 3\\)"):
+        check_density_matrix(np.zeros((2, 3)), 1)
+
+
+def test_correlations_of_a_non_hermitian_matrix_are_refused():
+    """tr(rho sigma_x) of [[0.5, 1], [0, 0.5]] is 1, tr(rho sigma_y) is i."""
+    with pytest.raises(ValueError, match="non-negligible imaginary part"):
+        correlation_tensor_values(np.array([[0.5, 1.0], [0.0, 0.5]]), 1)
+
+
 class TestStateSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
