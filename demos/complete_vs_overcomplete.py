@@ -49,25 +49,19 @@ for name, ens, m2_pred in [
           % (name, m2, m2_pred, m2 / m2_pred, ens.unphysical_fraction()))
 
 # which law fits which cloud?  sup-CDF distances, cross-tabulated
-def sup_distance(values, cdf):
-    x = np.sort(values)
-    grid = np.arange(1, x.size + 1) / x.size
-    t = cdf(x)
-    return max(np.abs(grid - t).max(), np.abs(grid - 1 / x.size - t).max())
-
 semi_matched = ts.SemicircleModel(
     center=2.0**-N_QUBITS, radius=2.0 * np.sqrt(lap.second_central_moment))
 print()
 print("sup-CDF distances (rows: data, columns: model):")
 print("                 semicircle   laplace")
 print("  overcomplete   %.4f       %.4f"
-      % (sup_distance(over.pooled, semi.cdf),
-         sup_distance(over.pooled,
-                      ts.LaplaceModel(center=semi.center,
-                                      alpha=np.sqrt(2.0) / (semi.radius / 2.0)).cdf)))
+      % (ts.sup_cdf_distance(over.pooled, semi.cdf),
+         ts.sup_cdf_distance(over.pooled,
+                             ts.LaplaceModel(center=semi.center,
+                                             alpha=np.sqrt(2.0) / (semi.radius / 2.0)).cdf)))
 print("  complete       %.4f       %.4f"
-      % (sup_distance(comp.pooled, semi_matched.cdf),
-         sup_distance(comp.pooled, lap.cdf)))
+      % (ts.sup_cdf_distance(comp.pooled, semi_matched.cdf),
+         ts.sup_cdf_distance(comp.pooled, lap.cdf)))
 print()
 print("each cloud prefers its own law: the semicircle's sharp support")
 print("edge cannot imitate the Laplace tails, and vice versa.")

@@ -10,11 +10,13 @@ array.  Each (replica, setting) pair owns a private counter-based
 random stream derived from the master seed, so the ensemble is a pure
 function of its configuration: the same master seed gives bit-identical
 rows no matter how replicas are scheduled over worker processes.  The
-chain up to the estimate is written once, in `replica_estimator` (with
-the count draws in `replica_frequencies`), and runs on a stack of
-replicas at a time: one generator, one per-qubit map from frequencies
-to correlation values, one reconstruction and one `eigvalsh` call per
-stack.  The runner and every replay of a single replica go through it.
+chain up to the estimate is written once, in `replica_estimator`, and
+runs on a stack of replicas at a time: one generator, one per-qubit map
+from frequencies to correlation values, one reconstruction and one
+`eigvalsh` call per stack.  This module only picks the rates and the
+draw method of a stack (`replica_frequencies` for the count model, the
+frame's rates for the complete scheme); `sampling.draw_stack` makes the
+draws.  The runner and every replay of a single replica go through it.
 
 On disk an ensemble is a plain directory:
 
@@ -49,7 +51,7 @@ from .estimation import (
 )
 from .pauli import (StateSpec, _integer, _known_keys, _positive, _seed, build_state,
                     correlation_tensor_values)
-from .sampling import MULTINOMIAL, CountModel, EmptySettingError, rekeyed, stream
+from .sampling import _INDICES, MULTINOMIAL, CountModel, EmptySettingError, draw_stack, stream
 
 OVERCOMPLETE = "overcomplete"
 COMPLETE = "complete"
@@ -124,7 +126,8 @@ class ExperimentConfig:
             if self.total_counts is None:
                 raise ValueError("complete scheme requires total_counts")
             object.__setattr__(self, "total_counts", _positive("total_counts", self.total_counts))
-        object.__setattr__(self, "replicas", _integer("replicas", self.replicas, 1))
+        # replica indices must fit the seed scheme's key (`sampling`)
+        object.__setattr__(self, "replicas", _integer("replicas", self.replicas, 1, _INDICES))
         object.__setattr__(self, "master_seed", _seed("master_seed", self.master_seed))
 
     @classmethod
@@ -279,52 +282,26 @@ def _central_moments(values, orders):
 _STACK_ENTRIES = 2**16
 
 
-def _draw_stack(master_seed, replicas, rates, method, *args):
-    """Counts of a stack of replicas, shape (len(replicas),) + rates.shape.
-
-    Row s of replica r is ``rng.<method>(*args, rates[s])`` with ``rng``
-    at the start of the stream ``stream(master_seed, r, s)``.  One
-    generator serves the whole stack: `stream` builds it once, the draw
-    method is bound to it once, and `rekeyed` moves it to each (replica,
-    row) stream in turn, which draws the same counts as a fresh generator
-    per stream.  The counts are stored as floats, exact below 2**53, so
-    callers normalize the stack in place and no integer copy of it is held.
-    """
-    rows = list(rates)
-    counts = np.empty((len(replicas),) + rates.shape)
-    rng = stream(master_seed)
-    draw = functools.partial(getattr(rng, method), *args)
-    for out, replica in zip(counts, replicas):
-        for s in rekeyed(rng, master_seed, replica, len(rows)):
-            out[s] = draw(rows[s])
-    return counts
-
-
 def replica_frequencies(probs, model, master_seed, replicas):
     """The (len(replicas), 3**n, 2**n) frequency tables of a stack of replicas.
 
     Row s of replica r holds the counts of setting s, drawn from the
     stream ``stream(master_seed, r, s)`` under the count model, divided
-    by their total.  ``probs`` is the table of exact outcome
-    probabilities from `setting_probability_table`.  A setting that drew
-    no events (possible under Poisson counts) raises
-    ``EmptySettingError`` naming the first such replica and setting in
-    draw order.
+    by their total (a multinomial row totals the budget exactly).
+    ``probs`` is the table of exact outcome probabilities from
+    `setting_probability_table`.  A setting that drew no events
+    (possible under Poisson counts) raises ``EmptySettingError`` naming
+    the first such replica and setting in draw order.
     """
     budget = model.events_per_setting
-    if model.mode == MULTINOMIAL:
-        freqs = _draw_stack(master_seed, replicas, probs, "multinomial", budget)
-        freqs /= budget  # a multinomial row always totals the budget
-        return freqs
-    freqs = _draw_stack(master_seed, replicas, budget * probs, "poisson")
+    # each mode is named after its generator method
+    rates, args = (probs, (budget,)) if model.mode == MULTINOMIAL else (budget * probs, ())
+    freqs = draw_stack(stream(master_seed), model.mode, master_seed, replicas, rates, *args)
     totals = freqs.sum(axis=-1, keepdims=True)
-    empty = np.argwhere(totals[..., 0] == 0)
-    if len(empty):
-        i, s = empty[0]
-        raise EmptySettingError(
-            "replica %d, setting %d drew zero events" % (replicas[i], s))
-    freqs /= totals
-    return freqs
+    if not totals.all():
+        i, s = np.argwhere(totals[..., 0] == 0)[0]
+        raise EmptySettingError("replica %d, setting %d drew zero events" % (replicas[i], s))
+    return np.divide(freqs, totals, out=freqs)  # in place: no second stack is held
 
 
 def _overcomplete_estimate(probs, model, master_seed, n, replicas):
@@ -333,7 +310,11 @@ def _overcomplete_estimate(probs, model, master_seed, n, replicas):
 
 
 def _complete_estimate(frame, intensity, master_seed, replicas):
-    counts = _draw_stack(master_seed, replicas, intensity[None], "poisson")
+    counts = draw_stack(stream(master_seed), "poisson", master_seed, replicas, intensity[None])
+    traces = frame.trace(counts[:, 0])
+    if not traces.all():  # estimate_complete's own check cannot name the replica
+        raise ValueError("degenerate data: replica %d drew no computational-basis counts"
+                         % replicas[np.flatnonzero(traces == 0)[0]])
     return estimate_complete(frame, counts[:, 0])
 
 
@@ -346,7 +327,10 @@ def replica_estimator(config):
     and returns their linear estimates as one (len(replicas), 2**n, 2**n)
     stack, so ``replica_estimator(config)([i])[0]`` replays replica ``i``
     of ``run_ensemble(config)`` bit for bit, eigenvectors included, and
-    so does any split of the replicas into stacks.  The map is a
+    so does any split of the replicas into stacks.  An empty sequence
+    gives an empty stack.  A complete-scheme replica with no
+    computational-basis count has no trace and raises ValueError naming
+    it, as `replica_frequencies` names an empty setting.  The map is a
     picklable ``functools.partial``, so worker processes get the
     prebuilt table or frame instead of building their own.
     """

@@ -158,6 +158,17 @@ class CompleteSchemeFrame:
         p_v = _born(apply_per_qubit(self.block, np.asarray(values, dtype=float), self.n))
         return p_v * (total_counts / 2**self.n)
 
+    def trace(self, counts):
+        """tr(sum_v c_v D_v) of each table of (..., 4**n) projector counts.
+
+        The duals D_v of |0> and |1> have unit trace and those of |+> and
+        |+i> none, so the trace is the count of the 2**n computational-basis
+        projectors.  A table whose trace is 0 has no linear estimate.
+        """
+        # digits 0 and 1 (|0> and |1>) on every qubit axis of the (4,) * n view
+        basis = counts.reshape(counts.shape[:-1] + (4,) * self.n)[(...,) + (slice(2),) * self.n]
+        return basis.sum(axis=tuple(range(-self.n, 0)))
+
 
 def build_complete_frame(n):
     """A new projector frame for n qubits, 1..MAX_QUBITS_DENSE.
@@ -175,18 +186,16 @@ def estimate_complete(frame, counts):
     """Linear estimate sum_v c_v D_v / tr(sum_v c_v D_v) from projector counts.
 
     ``frame.entries`` holds 2 D_v per qubit, D_v being the dual of projector
-    v, so one per-qubit map takes the counts to the matrix.  The duals of
-    |0> and |1> have unit trace and those of |+> and |+i> none, so the trace
-    is the total count of the 2**n computational-basis projectors.
-    ``counts`` may carry leading stack axes; so does the estimate.
+    v, so one per-qubit map takes the counts to the matrix, and the trace
+    is the total count of the 2**n computational-basis projectors
+    (`CompleteSchemeFrame.trace`).  ``counts`` may carry leading stack
+    axes; so does the estimate.
     """
     n = frame.n
     counts = np.asarray(counts, dtype=float)
     if counts.ndim == 0 or counts.shape[-1] != 4**n:
         raise ValueError("expected %d projector counts" % 4**n)
-    # digits 0 and 1 (|0> and |1>) on every qubit axis of the (4,) * n view
-    basis = counts.reshape(counts.shape[:-1] + (4,) * n)[(...,) + (slice(2),) * n]
-    total = basis.sum(axis=tuple(range(-n, 0)))
+    total = frame.trace(counts)
     if (total == 0).any():
         raise ValueError("degenerate data: no computational-basis counts")
     scaled = counts / (2**n * total)[..., None]

@@ -90,7 +90,7 @@ def qubit_entries(table, n):
     lead = len(batch)
     rows = round(table.shape[-2] ** (1 / n))
     perm = [*range(lead), *(lead + ax for k in range(n) for ax in (k, n + k))]
-    return _permuted(table, batch + (rows,) * n + (2,) * n, perm).reshape(batch + (-1,))
+    return _permuted(table, batch + (rows,) * n + (2,) * n, perm).reshape(batch + ((2 * rows)**n,))
 
 
 def from_qubit_entries(entries, n):
@@ -121,10 +121,12 @@ def apply_per_qubit(block, vec, n):
     a single vector, so stacking does not change the bits.
     """
     batch = vec.shape[:-1]
+    m, k = block.shape
     t = vec
-    for _ in range(n):
-        t = t.reshape(batch + (block.shape[1], -1)).swapaxes(-1, -2) @ block.T
-    return t.reshape(batch + (-1,))
+    # explicit sizes, not -1, so an empty stack keeps its shape
+    for i in range(n):
+        t = t.reshape(batch + (k, k ** (n - 1 - i) * m**i)).swapaxes(-1, -2) @ block.T
+    return t.reshape(batch + (m**n,))
 
 
 def _bounded(name, value, low, high):

@@ -198,6 +198,8 @@ SIMULATE_USAGE_ERRORS = [
       "--seed", "18446744073709551616", "--out", "x"), None),
     (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--out", "x"), "2.5"),
     (("simulate", "--qubits", "1", "--counts", "10", "--reps", "2", "--out", "x"), "0"),
+    # replica indices past 2**32 - 1 have no seed stream, refused before any row is allocated
+    (("simulate", "--qubits", "1", "--counts", "10", "--reps", "4294967297", "--out", "x"), None),
 ]
 
 

@@ -34,7 +34,7 @@ from tomospectra.ensemble import (
 )
 from tomospectra.estimation import build_complete_frame
 from tomospectra.pauli import StateSpec, build_state
-from tomospectra.sampling import MULTINOMIAL, POISSON, CountModel
+from tomospectra.sampling import MULTINOMIAL, POISSON, CountModel, stream
 from tomospectra.schemas import load_schema
 
 
@@ -286,14 +286,52 @@ def test_one_stream_per_stack_and_one_draw_per_setting(monkeypatch, config, draw
     assert counted.spectra.tobytes() == plain.spectra.tobytes()
 
 
-@pytest.mark.parametrize("replica", [-1, 2**32])
-def test_an_out_of_range_replica_draws_nothing(monkeypatch, replica):
+# every key of a stack is checked before its first replica draws
+@pytest.mark.parametrize("replicas", [[-1], [2**32], [0, 2**32]],
+                         ids=["-1", "4294967296", "0-4294967296"])
+def test_an_out_of_range_replica_draws_nothing(monkeypatch, replicas):
     from tomospectra.ensemble import replica_frequencies
 
     _, draws = count_streams_and_draws(monkeypatch)
     with pytest.raises(ValueError, match="replica index"):
-        replica_frequencies(np.full((9, 4), 0.25), CountModel(MULTINOMIAL, 10), 3, [replica])
+        replica_frequencies(np.full((9, 4), 0.25), CountModel(MULTINOMIAL, 10), 3, replicas)
     assert draws == []
+
+
+@pytest.mark.parametrize("scheme", [OVERCOMPLETE, COMPLETE])
+def test_an_empty_replica_sequence_estimates_an_empty_stack(scheme):
+    state = StateSpec(kind="white_noise", n=2)
+    if scheme == COMPLETE:
+        config = ExperimentConfig.complete(state, 1e4, replicas=3)
+    else:
+        config = ExperimentConfig.overcomplete(state, CountModel(MULTINOMIAL, 10), replicas=3)
+    estimates = replica_estimator(config)([])
+    assert estimates.shape == (0, 4, 4)
+    assert estimates.dtype == complex
+
+
+def test_a_degenerate_complete_replica_is_named():
+    """A replica with no computational-basis counts is named, as an empty setting is.
+
+    One qubit of white noise at a budget of 2 events expects one |0> or
+    |1> event and sees none with probability e**-1; the first replica
+    that sees none is found by replaying its stream.
+    """
+    config = ExperimentConfig.complete(StateSpec(kind="white_noise", n=1), 2.0, replicas=40,
+                                       master_seed=5)
+    frame = build_complete_frame(1)
+    intensity = frame.intensity([1.0, 0.0, 0.0, 0.0], 2.0)
+    first = next(r for r in range(40) if stream(5, r, 0).poisson(intensity)[:2].sum() == 0)
+    assert first > 0
+    message = "degenerate data: replica %d drew no computational-basis counts" % first
+    with pytest.raises(EnsembleRunError, match=message):
+        run_ensemble(config)
+    with pytest.raises(ValueError, match=message):
+        replica_estimator(config)(range(first + 1))
+    # the smallest budget aborts at replica 0 with the same message
+    with pytest.raises(EnsembleRunError, match="replica 0 drew no computational-basis counts"):
+        run_ensemble(ExperimentConfig.complete(StateSpec(kind="white_noise", n=1), 1e-3,
+                                               replicas=2))
 
 
 def test_run_ensemble_extends_prefix():
@@ -1039,6 +1077,17 @@ def test_load_rejects_non_integral_config_numbers(tmp_path, path, value):
     block[path[-1]] = value
     (out / CONFIG_FILE).write_text(json.dumps(meta))
     with pytest.raises(MalformedEnsembleError, match=path[-1].replace("_", "[_ ]")):
+        load_ensemble(str(out))
+
+
+def test_load_refuses_more_replicas_than_the_seed_scheme_keys(tmp_path):
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    meta["config"]["replicas"] = 2**33
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(MalformedEnsembleError,
+                       match="replicas must lie in 1..4294967296, got 8589934592"):
         load_ensemble(str(out))
 
 

@@ -203,6 +203,7 @@ def test_estimate_complete_validation():
     stack = np.array([[3.0, 1.0, 2.0, 2.0], [0.0, 0.0, 5.0, 4.0], [1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="degenerate"):
         estimate_complete(frame, stack)
+    np.testing.assert_array_equal(frame.trace(stack), [4.0, 0.0, 1.0])
     estimate_complete(frame, stack[[0, 2]])
 
 

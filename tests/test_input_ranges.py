@@ -55,13 +55,14 @@ def config(replicas=2, master_seed=0):
     (lambda: catalan(-1), "k must be >= 0, got -1"),
     (lambda: SingleQubitModel(0), "counts must be >= 1, got 0"),
     (lambda: CountModel(events_per_setting=0), "events per setting must be >= 1, got 0"),
-    (lambda: config(replicas=0), "replicas must be >= 1, got 0"),
+    (lambda: config(replicas=0), "replicas must lie in 1..4294967296, got 0"),
+    (lambda: config(replicas=2**32 + 1), "replicas must lie in 1..4294967296, got 4294967297"),
     (lambda: run_ensemble(config()).moments(k_max=1), "k_max must be >= 2, got 1"),
     (lambda: run_ensemble(config(), workers=0), "worker count must be >= 1, got 0"),
     (lambda: estimate_rank(FLAT8, 3, 100, max_rank=4), "max_rank must lie in 0..3, got 4"),
 ], ids=["seed", "master-seed", "dense-n", "frame-n", "q", "law-q", "state-r", "state-k",
         "dicke-k", "law-n", "law-r", "radius-counts", "moment-k", "catalan-k",
-        "one-qubit-counts", "events", "replicas", "k-max", "workers", "max-rank"])
+        "one-qubit-counts", "events", "replicas", "replicas-high", "k-max", "workers", "max-rank"])
 def test_an_input_out_of_range_names_itself_its_range_and_its_value(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -11,7 +11,7 @@ from tomospectra.sampling import (
     POISSON,
     CountModel,
     EmptySettingError,
-    rekeyed,
+    draw_stack,
     stream,
 )
 
@@ -53,29 +53,41 @@ def _use(rng):
     rng.integers(0, 10, dtype=np.uint32)  # and a half-used 64-bit word
 
 
-def test_rekeyed_walks_the_fresh_stream_states():
-    """At each yielded s, a used generator is the generator stream(m, r, s)."""
+def test_draw_stack_walks_the_fresh_stream_states():
+    """Each row of replica r is drawn by a used generator in the state of stream(m, r, s)."""
     for master, rep, settings in ((2**63 + 9, 5, 3), (2**64 - 1, 2**32 - 1, 729), (0, 0, 1)):
         rng = stream(master, 1, 2)
         _use(rng)
-        seen = []
-        for s in rekeyed(rng, master, rep, settings):
-            fresh = stream(master, rep, s)
-            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-            np.testing.assert_array_equal(rng.multinomial(100, PROBS[2], size=2),
-                                          fresh.multinomial(100, PROBS[2], size=2))
-            _use(rng)
-            seen.append(s)
-        assert seen == list(range(settings))
+        states = []
+
+        class Probe:
+            """Records the state each row is drawn in, then leaves the generator used."""
+
+            bit_generator = rng.bit_generator
+
+            def multinomial(self, *args):
+                states.append(repr(rng.bit_generator.state))
+                counts = rng.multinomial(*args)
+                _use(rng)
+                return counts
+
+        counts = draw_stack(Probe(), "multinomial", master, [rep],
+                            np.tile(PROBS[2], (settings, 1)), 100)
+        fresh = [stream(master, rep, s) for s in range(settings)]
+        assert states == [repr(f.bit_generator.state) for f in fresh]
+        np.testing.assert_array_equal(counts[0], [f.multinomial(100, PROBS[2]) for f in fresh])
 
 
-def test_rekeyed_checks_the_indices_before_moving_the_generator():
+def test_draw_stack_checks_the_indices_before_moving_the_generator():
     for rep, settings, what in ((-1, 9, "replica"), (2**32, 9, "replica"),
                                 (0, 2**32 + 1, "setting")):
         rng = stream(3)
+        _use(rng)
         before = repr(rng.bit_generator.state)
+        # a broadcast view: 2**32 + 1 rows of rates without their memory
+        rates = np.broadcast_to(PROBS[0], (settings, 4))
         with pytest.raises(ValueError, match="%s index" % what):
-            next(rekeyed(rng, 3, rep, settings))
+            draw_stack(rng, "multinomial", 3, [rep], rates, 10)
         assert repr(rng.bit_generator.state) == before
 
 
