@@ -1,15 +1,18 @@
-"""One qubit is special: its eigenvalue law is exact, not asymptotic.
+"""One qubit is special: its eigenvalue law has a closed form of its own.
 
 A single-qubit linear estimate has eigenvalues (1 +- |T|)/2 where T is
 the estimated Bloch vector.  With N events per setting its three
-components fluctuate like independent Gaussians of variance 1/N, which
-gives the eigenvalues the density
+components fluctuate with variance 1/N; treating them as independent
+Gaussians gives the eigenvalues the density
 
     g(x) ~ exp(-(1 - 2x)^2 N / 2) (1 - 2x)^2 .
 
 Instead of a semicircle this has a *dip to zero* at x = 1/2 — the
-eigenvalues repel the center.  The script verifies the law against
-100000 simulated replicas with a Kolmogorov-style sup-CDF distance.
+eigenvalues repel the center.  The counts put each component on a
+lattice of step 2/N, so the Gaussian law is itself off by about 0.0075
+in sup-CDF distance at N = 100, and near the center it overstates the
+mass.  The script compares the law with 100000 simulated replicas by a
+Kolmogorov-style sup-CDF distance.
 """
 
 import numpy as np
@@ -30,18 +33,13 @@ print("simulating %d single-qubit reconstructions at N=%d ..."
 ensemble = ts.run_ensemble(config)
 model = ts.SingleQubitModel(EVENTS)
 
-pooled = np.sort(ensemble.pooled)
-theory = model.cdf(pooled)
-grid = np.arange(1, pooled.size + 1) / pooled.size
-sup = max(
-    np.abs(grid - theory).max(),
-    np.abs(grid - 1.0 / pooled.size - theory).max(),
-)
+pooled = ensemble.pooled
 
 print()
 print("pooled eigenvalues: %d" % pooled.size)
-print("sup |empirical CDF - exact CDF| = %.5f" % sup)
-print("density at the center g(1/2)   = %.3f (exactly zero by symmetry)"
+print("sup |empirical CDF - Gaussian-law CDF| = %.5f"
+      % ts.sup_cdf_distance(pooled, model.cdf))
+print("density at the center g(1/2)          = %.3f (exactly zero by symmetry)"
       % model.pdf(0.5))
 
 # the dip: count eigenvalues in a narrow window around 1/2 and compare
@@ -53,4 +51,6 @@ for width in (0.02, 0.05, 0.1):
 
 print()
 print("a semicircle would put its *maximum* density at the center;")
-print("the exact one-qubit law puts a zero there instead.")
+print("the one-qubit law puts a zero there instead.  it treats the counts")
+print("as Gaussian: their lattice of step 2/N alone puts it about 0.0075")
+print("from the exact law at N = 100, and it overstates the mass near 1/2.")

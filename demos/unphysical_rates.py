@@ -11,6 +11,8 @@ The script measures that jump at N = 100 and compares it with the
 independent-eigenvalue estimate of the physicality probability.
 """
 
+import math
+
 import tomospectra as ts
 
 EVENTS = 100
@@ -37,8 +39,12 @@ for n in (1, 2, 3, 4):
 print()
 print("once c - R < 0 the semicircle support dips below zero and the")
 print("physicality probability collapses; by n = 4 every replica is")
-print("unphysical.  the per-n counts needed to prevent this grow like")
-print("4 (5/6)^n (2^n - 1)^2:")
+print("unphysical.  the counts per setting that keep the band above zero")
+print("grow exponentially: white noise needs N >= 4 (10^n - 1)/3^n, and a")
+print("weak rank-1 signal (q -> 0) the shorthand N0 = 4 (5/6)^n (2^n - 1)^2")
+print("of min_counts:")
 print()
+print("  n   white noise   rank-1 N0")
 for n in (2, 4, 6, 8):
-    print("  n = %d:  N0 = %d" % (n, ts.min_counts(n, 0.0)))
+    print("  %d   %-11d   %d"
+          % (n, math.ceil(4 * (10**n - 1) / 3**n), ts.min_counts(n, 0.0)))

@@ -234,15 +234,13 @@ def _overlay_model(config):
 @cli.command()
 @click.option("--in", "in_dir", type=click.Path(exists=True, file_okay=False),
               required=True, help="ensemble directory (from simulate)")
-@click.option("--bins", type=int, default=60, show_default=True,
+@click.option("--bins", type=click.IntRange(min=1), default=60, show_default=True,
               help="histogram bin count over the pooled eigenvalues")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="where to write the csv/json files [default: --in]")
 @_format_option
 def analyze(in_dir, bins, out_dir, fmt):
     """Summarize a stored ensemble: moments, histogram, model overlay."""
-    if bins < 1:
-        raise _bad("must be a positive bin count", "--bins")
     ensemble = load_ensemble(in_dir)
     out_dir = in_dir if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -250,8 +248,7 @@ def analyze(in_dir, bins, out_dir, fmt):
     pooled = ensemble.pooled
     model, model_doc = _overlay_model(ensemble.config)
 
-    edges = np.histogram_bin_edges(pooled, bins=bins)
-    hist, _ = np.histogram(pooled, bins=edges)
+    hist, edges = np.histogram(pooled, bins=bins)
     density = hist / (pooled.size * np.diff(edges))
 
     # grid covering both the data range and the model's own scale

@@ -565,8 +565,6 @@ def load_ensemble(path):
         raise DimensionMismatchError(
             "%s rows carry %d eigenvalues but config says %d"
             % (SPECTRA_FILE, data.shape[1] - 1, dim))
-    if not (data.flags.owndata and data.flags.c_contiguous):  # else no resize
-        data = data.copy()
     # each block's eigenvalues move down to the front of the same buffer:
     # rows a..b-1 land below b*dim, and row b's values start at b*(dim+1),
     # so no unread row is overwritten (numpy buffers the overlap in a block)

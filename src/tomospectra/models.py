@@ -20,8 +20,9 @@ and 2**n bulk eigenvalues; any other keeps the center c above and
 `physicality_probability` takes the same state.
 
 The complete projector scheme instead produces a two-sided exponential
-(Laplace) eigenvalue law, and a single qubit has its own exact density;
-both are provided here, together with the even-moment Catalan identities
+(Laplace) eigenvalue law, and a single qubit has its own closed-form
+density, a Gaussian approximation of the count lattice; both are
+provided here, together with the even-moment Catalan identities
 and the probability that a semicircle-distributed spectrum is entirely
 nonnegative.
 """
@@ -130,17 +131,9 @@ class SemicircleModel:
 
 
 def catalan(k):
-    """k-th Catalan number, exact integer arithmetic.
-
-    C_0 = 1 and C_{k+1} = C_k * 2(2k + 1)/(k + 2); the division is exact
-    at every step.  Python integers are unbounded, so no overflow occurs
-    at any k.
-    """
+    """k-th Catalan number C_k = binom(2k, k)/(k + 1), an exact integer."""
     k = _integer("k", k, 0)
-    c = 1
-    for i in range(k):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
+    return math.comb(2 * k, k) // (k + 1)
 
 
 # Printed reference thresholds use the (5/6)**n shorthand for the radius
@@ -247,11 +240,15 @@ def _capped_u(x):
 
 @dataclass(frozen=True)
 class SingleQubitModel:
-    """Exact one-qubit eigenvalue density at N = ``counts`` events per setting.
+    """Gaussian one-qubit eigenvalue density at N = ``counts`` events per setting.
 
     g(lambda) = C exp(-(1 - 2 lambda)**2 N / 2) (1 - 2 lambda)**2, the
     distribution of (1 +- |T~|)/2 with the three correlation estimates
-    fluctuating like independent Gaussians of variance 1/N.  The
+    treated as independent Gaussians of variance 1/N.  Multinomial
+    counts put each estimate on a lattice of step 2/N instead, so the
+    law is a continuum approximation: at N = 100 its sup-CDF distance to
+    the exact multinomial law is 0.0075, and the exact law has an atom
+    of mass 5.0e-4 at lambda = 1/2 where g vanishes.  The
     normalization C = sqrt(2/pi) N**1.5 is derived from N, an integer
     >= 1, so the density always integrates to exactly 1.  Outside
     [-19.5, 20.5] the pdf is 0 and the cdf 0 on the left; on the right

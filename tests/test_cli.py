@@ -438,7 +438,7 @@ def test_analyze_error_paths(tmp_path, capsys):
     ens_dir = simulate_small(tmp_path, capsys)
     code, _, err = run_cli(capsys, "analyze", "--in", str(ens_dir), "--bins", "0")
     assert code == 1
-    assert "must be a positive bin count" in err
+    assert "Invalid value for '--bins': 0 is not in the range x>=1" in err
     # nonexistent path is a usage error (caught by the flag validation)
     code, _, _ = run_cli(capsys, "analyze", "--in", str(tmp_path / "missing"))
     assert code == 1

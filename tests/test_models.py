@@ -195,8 +195,10 @@ def test_cdf_saturates_outside_support():
 
 def test_catalan_numbers():
     assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
-    # exact integer identity C_k = binom(2k, k)/(k + 1) at a large order
-    assert catalan(30) == math.comb(60, 30) // 31
+    # Segner's recurrence C_{k+1} = sum_i C_i C_{k-i}, in exact integers
+    values = [catalan(k) for k in range(41)]
+    for k in range(40):
+        assert values[k + 1] == sum(values[i] * values[k - i] for i in range(k + 1))
     with pytest.raises(ValueError):
         catalan(-1)
 
@@ -380,7 +382,7 @@ def test_counts_in_the_closed_form_laws_are_finite_numbers():
         laplace_model(1, -0.5)
 
 
-# --- single-qubit exact law ----------------------------------------------------
+# --- single-qubit Gaussian law -------------------------------------------------
 
 
 def test_single_qubit_normalization_closed_form():
@@ -439,6 +441,32 @@ def test_single_qubit_far_tails_are_the_limits():
         u = 1.0 - 2.0 * grid
         closed = model.normalization * np.exp(-0.5 * u**2 * counts) * u**2
         assert model.pdf(grid).tobytes() == closed.tobytes()
+
+
+def test_the_single_qubit_law_is_off_the_count_lattice_by_0_0075():
+    """The Gaussian one-qubit law against the exact multinomial law at N = 100.
+
+    Each Bloch component of a white-noise qubit is (2k - N)/N with k
+    binomial(N, 1/2), a lattice of step 2/N, and the eigenvalues are
+    (1 +- |T|)/2.  Enumerating the 101**3 count triples gives the pooled
+    eigenvalue law exactly; its sup-CDF distance to the model is the
+    systematic part of criterion 4's reading (0.00784 at seed 2, band 0.01).
+    """
+    counts = 100
+    pmf = np.array([math.comb(counts, k) for k in range(counts + 1)], dtype=float) / 2.0**counts
+    squares = (2 * np.arange(counts + 1) - counts) ** 2
+    norm2 = (squares[:, None, None] + squares[:, None] + squares).ravel()
+    mass = np.bincount(norm2, weights=np.multiply.outer(np.outer(pmf, pmf), pmf).ravel())
+    radius = np.sqrt(np.arange(mass.size)) / counts
+    # each |T|**2 = s/N**2 puts half its mass on either eigenvalue
+    atoms, where = np.unique(np.concatenate([1.0 - radius, 1.0 + radius]) / 2.0,
+                             return_inverse=True)
+    weights = np.bincount(where, weights=np.concatenate([mass, mass]) / 2.0)
+    after = np.cumsum(weights)
+    model = SingleQubitModel(counts).cdf(atoms)
+    gap = max(np.abs(after - model).max(), np.abs(after - weights - model).max())
+    assert after[-1] == pytest.approx(1.0, abs=1e-12)
+    assert 0.0070 <= gap <= 0.0080
 
 
 def test_single_qubit_validation():
