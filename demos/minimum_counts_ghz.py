@@ -8,11 +8,11 @@ the semicircle radius drops below that, which happens at
 
 events per setting.  The script evaluates N0 for a 4-qubit GHZ state at
 q = 0.8, then simulates just below and just at the threshold to show the
-physical fraction snapping from a coin flip to near-certainty.
+physical fraction snapping from near zero to near-certainty.
 
 (The threshold criterion R = c puts the semicircle edge exactly at zero;
 right at N0 the smallest eigenvalue straddles zero, so the physical
-fraction lands near 96%, not yet at 100%.)
+fraction lands near 98%, not yet at 100%.)
 """
 
 import tomospectra as ts
@@ -22,7 +22,7 @@ Q = 0.8
 REPLICAS = 4000
 
 n0 = ts.min_counts(N_QUBITS, Q)
-center = ts.semicircle_center(N_QUBITS, Q, 1)
+center = ts.SemicircleModel.for_state(N_QUBITS, n0, Q, 1).center
 print("state: %.1f * GHZ + %.1f * I/16 on %d qubits" % (Q, 1 - Q, N_QUBITS))
 print("noise-bulk center c = %.6f" % center)
 print("count threshold  N0 = %d events per setting" % n0)
@@ -38,9 +38,9 @@ for label, events in [("N0 / 4", n0 // 4), ("N0 / 2", n0 // 2), ("N0", n0),
     )
     ensemble = ts.run_ensemble(config)
     physical = 1.0 - ensemble.unphysical_fraction()
-    radius = ts.semicircle_radius(N_QUBITS, events, 1)
+    edge = ts.SemicircleModel.for_state(N_QUBITS, events, Q, 1).support[0]
     print("  N = %-6d (%-6s):  edge c - R = %+.6f   physical fraction %.4f"
-          % (events, label, center - radius, physical))
+          % (events, label, edge, physical))
 
 print()
 print("the largest eigenvalue, meanwhile, concentrates on the signal")

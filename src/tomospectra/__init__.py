@@ -8,7 +8,7 @@ count planning, and a rank-estimation test built on Anderson-Darling
 goodness of fit.
 """
 
-__version__ = "0.2.5"
+__version__ = "0.2.6"
 
 from .pauli import (
     StateSpec,

@@ -21,8 +21,8 @@ draws.  The runner and every replay of a single replica go through it.
 On disk an ensemble is a plain directory:
 
     config.json   experiment parameters + schema/code version
-    spectra.csv   header ``replica,l_1,...,l_{2^n}``, one row per
-                  replica, eigenvalues ascending, 17 significant digits
+    spectra.csv   header ``l_1,...,l_{2^n}``, then row r holds replica r's
+                  eigenvalues ascending, 17 significant digits
     checksum.txt  SHA-256 hex digest of the csv bytes, written last
 
 Loading verifies the checksum and re-validates the spectrum invariants,
@@ -57,7 +57,7 @@ OVERCOMPLETE = "overcomplete"
 COMPLETE = "complete"
 SCHEMES = (OVERCOMPLETE, COMPLETE)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CONFIG_FILE = "config.json"
 SPECTRA_FILE = "spectra.csv"
@@ -430,20 +430,17 @@ def run_ensemble(config, workers=1, progress=None):
 
 
 #: at most this many eigenvalues formatted into one block of spectra.csv:
-#: a save holds one block of text at a time, never the whole file.  A load
-#: compacts its parsed table in blocks of the same bound (the moments take
-#: the pooled sample whole, in one buffer)
+#: a save holds one block of text at a time, never the whole file
 _CSV_BLOCK_VALUES = 2**12
 
 def _csv_blocks(spectra):
     """The bytes of spectra.csv: the header, then blocks of rows."""
     dim = spectra.shape[1]
-    yield ("replica," + ",".join("l_%d" % (k + 1) for k in range(dim)) + "\n").encode("ascii")
-    row_format = "%d" + ",%.17g" * dim + "\n"
+    yield (",".join("l_%d" % (k + 1) for k in range(dim)) + "\n").encode("ascii")
+    row_format = ",".join(["%.17g"] * dim) + "\n"
     size = max(1, _CSV_BLOCK_VALUES // dim)
     for a in range(0, len(spectra), size):
-        rows = spectra[a:a + size].tolist()
-        yield "".join(row_format % (i, *row) for i, row in enumerate(rows, a)).encode("ascii")
+        yield "".join(row_format % tuple(row) for row in spectra[a:a + size].tolist()).encode("ascii")
 
 
 def save_ensemble(ensemble, path):
@@ -496,11 +493,8 @@ def load_ensemble(path):
     waits until the rest of the file is hashed.  spectra.csv is read
     once, each line hashed as the parser reads it, so the rows returned
     are exactly the bytes checksum.txt covers and no copy of the file's
-    bytes is held.  The parsed (replicas, 2**n + 1) table is the only
-    full-size array: its index column is checked and its eigenvalues are
-    moved to the front of the same buffer a block of rows at a time, and
-    the buffer is shrunk to (replicas, 2**n) and becomes the ensemble's
-    read-only spectra.
+    bytes is held.  Row r of the file is replica r, and the parsed
+    (replicas, 2**n) table itself becomes the ensemble's read-only spectra.
     """
     try:
         with open(os.path.join(path, CONFIG_FILE), encoding="utf-8") as fh:
@@ -549,7 +543,7 @@ def load_ensemble(path):
     if not size:
         raise MalformedEnsembleError("%s is empty" % SPECTRA_FILE)
     dim = 2 ** config.state.n
-    columns = header.count(b",")
+    columns = header.count(b",") + 1
     if columns != dim:
         raise DimensionMismatchError(
             "%s has %d eigenvalue columns but config says 2^%d = %d"
@@ -561,26 +555,10 @@ def load_ensemble(path):
         raise MalformedEnsembleError(
             "%s holds %d rows but config says %d replicas"
             % (SPECTRA_FILE, data.shape[0], config.replicas))
-    if data.shape[1] - 1 != dim:
+    if data.shape[1] != dim:
         raise DimensionMismatchError(
             "%s rows carry %d eigenvalues but config says %d"
-            % (SPECTRA_FILE, data.shape[1] - 1, dim))
-    # each block's eigenvalues move down to the front of the same buffer:
-    # rows a..b-1 land below b*dim, and row b's values start at b*(dim+1),
-    # so no unread row is overwritten (numpy buffers the overlap in a block)
-    size = max(1, _CSV_BLOCK_VALUES // (dim + 1))
-    flat = data.reshape(-1)
-    for a in range(0, config.replicas, size):
-        b = min(a + size, config.replicas)
-        if not np.array_equal(data[a:b, 0], np.arange(a, b)):
-            raise MalformedEnsembleError("replica index column is not 0..replicas-1")
-        flat[a * dim:b * dim].reshape(b - a, dim)[...] = data[a:b, 1:]
-    # ``flat`` is the buffer's only view, so once it is deleted nothing
-    # shares the buffer.  The resize still skips numpy's reference count
-    # check: a trace function's copy of this frame's locals (pdb, coverage,
-    # IDE debuggers) is one more reference to ``data`` but not to its memory
-    del flat
-    data.resize((config.replicas, dim), refcheck=False)
+            % (SPECTRA_FILE, data.shape[1], dim))
     data.setflags(write=False)  # so the ensemble takes the rows without a copy
     try:
         return SpectrumEnsemble(config=config, spectra=data)

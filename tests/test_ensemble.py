@@ -630,7 +630,7 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.spectra, ens.spectra)
     # 17 significant digits survive the text round trip bit-exactly
     text = (out / SPECTRA_FILE).read_text()
-    assert text.startswith("replica,l_1,l_2,l_3,l_4\n")
+    assert text.startswith("l_1,l_2,l_3,l_4\n")
 
 
 def test_load_checksum_mismatch(tmp_path):
@@ -668,7 +668,7 @@ def test_load_rejects_non_finite_spectra(tmp_path):
     out = tmp_path / "run"
     save_ensemble(run_ensemble(small_config(reps=3)), str(out))
     lines = (out / SPECTRA_FILE).read_bytes().splitlines()
-    lines[1] = b"0,nan,nan,nan,nan"
+    lines[1] = b"nan,nan,nan,nan"
     _rewrite_spectra(out, b"\n".join(lines) + b"\n")
     with pytest.raises(MalformedEnsembleError, match="finite"):
         load_ensemble(str(out))
@@ -755,10 +755,8 @@ def test_spectra_csv_across_block_boundaries(tmp_path, n, extra):
     out = tmp_path / "run"
     save_ensemble(ens, str(out))
     expected = io.BytesIO()
-    table = np.column_stack([np.arange(rows), ens.spectra])
-    np.savetxt(expected, table, fmt=["%d"] + ["%.17g"] * 2**n, delimiter=",",
-               header="replica," + ",".join("l_%d" % k for k in range(1, 2**n + 1)),
-               comments="")
+    np.savetxt(expected, ens.spectra, fmt="%.17g", delimiter=",",
+               header=",".join("l_%d" % k for k in range(1, 2**n + 1)), comments="")
     assert (out / SPECTRA_FILE).read_bytes() == expected.getvalue()
     assert load_ensemble(str(out)).spectra.tobytes() == ens.spectra.tobytes()
 
@@ -911,46 +909,31 @@ def test_store_memory_is_bounded_by_the_file_size(tmp_path):
 
 
 def test_a_load_holds_no_copy_of_the_file(tmp_path):
-    """Loading holds the parsed table, compacted in place, not the csv bytes.
+    """Loading holds the parsed table, not the csv bytes.
 
     On 20 000 n=2 rows (0.64 MB of spectra, a 1.72 MB file) tracemalloc
     put the load peak at 4.24 times the spectra's bytes when the file was
     read whole, and at 2.51 times when it was hashed in blocks and parsed
     from the open file into a table (1.25 times, with its index column)
     that the ensemble copied its rows from.  Compacting the table in place
-    into the ensemble's rows puts it at 1.56 times.
+    into the ensemble's rows put it at 1.56 times, and dropping the index
+    column from the file (schema 2, a 1.62 MB file) at 1.31 times.
     """
     ens = synthetic_ensemble(2, 20000)
     out = str(tmp_path / "run")
     save_ensemble(ens, out)
-    assert _traced_peak(load_ensemble, out) < 2.0 * ens.spectra.nbytes
+    assert _traced_peak(load_ensemble, out) < 1.5 * ens.spectra.nbytes
 
 
 def test_a_loaded_ensemble_owns_its_rows(tmp_path):
-    """The parsed table itself, shrunk to the eigenvalue columns, becomes the spectra."""
-    ens = synthetic_ensemble(2, 3000)  # several compaction blocks
+    """The parsed table itself becomes the spectra, with no copy."""
+    ens = synthetic_ensemble(2, 3000)
     out = str(tmp_path / "run")
     save_ensemble(ens, out)
     spectra = load_ensemble(out).spectra
     assert spectra.flags.owndata and spectra.base is None
     assert not spectra.flags.writeable
     assert spectra.tobytes() == ens.spectra.tobytes()
-
-
-@pytest.mark.parametrize("line", [1, -1], ids=["first-block", "last-block"])
-def test_a_bad_replica_index_in_any_block_is_malformed(tmp_path, line):
-    import tomospectra.ensemble as ensemble_module
-
-    rows = 3 * ensemble_module._CSV_BLOCK_VALUES // 5 + 7  # n=2 rows carry 5 values
-    out = tmp_path / "run"
-    save_ensemble(synthetic_ensemble(2, rows), str(out))
-    lines = (out / SPECTRA_FILE).read_bytes().splitlines()
-    index, _, values = lines[line].partition(b",")
-    lines[line] = b"%d,%s" % (int(index) + 1, values)
-    _rewrite_spectra(out, b"\n".join(lines) + b"\n")
-    with pytest.raises(MalformedEnsembleError,
-                       match=r"replica index column is not 0\.\.replicas-1"):
-        load_ensemble(str(out))
 
 
 def test_moments_hold_one_buffer_beside_the_rows():
@@ -1029,12 +1012,31 @@ def test_load_schema_version(tmp_path):
     out = tmp_path / "run"
     save_ensemble(run_ensemble(small_config(reps=3)), str(out))
     meta = json.loads((out / CONFIG_FILE).read_text())
-    # true and 1.0 compare equal to 1, but only the integer 1 is version 1
-    for version in (99, True, 1.0):
+    # 2.0 compares equal to 2, but only the integer 2 is version 2;
+    # version 1 rows led with a replica index (test_a_schema_1_directory_is_refused)
+    for version in (99, 1, 2.0):
         meta["schema_version"] = version
         (out / CONFIG_FILE).write_text(json.dumps(meta))
         with pytest.raises(SchemaVersionError):
             load_ensemble(str(out))
+
+
+def test_a_schema_1_directory_is_refused(tmp_path):
+    out = tmp_path / "run"
+    save_ensemble(run_ensemble(small_config(reps=3)), str(out))
+    # schema 1 led each row with its replica index, under a ``replica,`` header
+    header, *rows = (out / SPECTRA_FILE).read_bytes().splitlines()
+    lines = [b"replica," + header] + [b"%d,%s" % (r, row) for r, row in enumerate(rows)]
+    _rewrite_spectra(out, b"\n".join(lines) + b"\n")
+    # under its own config.json a schema 1 directory is refused by version
+    meta = json.loads((out / CONFIG_FILE).read_text())
+    (out / CONFIG_FILE).write_text(json.dumps(dict(meta, schema_version=1)))
+    with pytest.raises(SchemaVersionError, match="schema version 1 not supported"):
+        load_ensemble(str(out))
+    # its rows under a schema 2 config.json carry one column too many
+    (out / CONFIG_FILE).write_text(json.dumps(meta))
+    with pytest.raises(DimensionMismatchError, match="5 eigenvalue columns but config says"):
+        load_ensemble(str(out))
 
 
 def test_load_malformed_config(tmp_path):

@@ -22,43 +22,51 @@ import tomospectra as ts
 from tomospectra.cli import HISTOGRAM_FILE, OVERLAY_FILE, SUMMARY_FILE, main
 
 CASES = {
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 66715599... before.
     "ovc1-multinomial": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="white_noise", n=1),
             ts.CountModel(ts.MULTINOMIAL, 100), replicas=16, master_seed=11),
-        "667155992cd18a7e8c8b16a5c248e013d480984e700640dea4ff65aca41f11ab",
+        "03d6f2adef7fc7b3536d17672cdb30ff5eafb6b63bc464c4ff671a05b70ec629",
         1,
     ),
     # Re-taken for 0.2.5 (per-qubit frequency <-> Pauli blocks), which
     # rounds the overcomplete estimate differently at about 1e-16,
     # with the same counts: 174d0b0e... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 2459aa1a... before.
     "ovc6-rank3-multinomial": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="rank_r_plus_noise", n=6, q=0.8, r=3, seed=80),
             ts.CountModel(ts.MULTINOMIAL, 230), replicas=2, master_seed=8),
-        "2459aa1ab1dd078f51de9c0b7f5f1aa3a4e4a22599c455e2e9c3a8bf640e3276",
+        "62b05e350f0aff5fa8123368ed75ffe89f7cd1164c20f6cadd55f26944bd590b",
         1,
     ),
     # at 300 expected events a setting is empty with probability e^-300
     # Re-taken for 0.2.5 (per-qubit frequency <-> Pauli blocks), which
     # rounds the overcomplete estimate differently at about 1e-16,
     # with the same counts: 740c7d91... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 3ca4dd9f... before.
     "ovc3-poisson": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="ghz_plus_noise", n=3, q=0.6),
             ts.CountModel(ts.POISSON, 300), replicas=8, master_seed=33),
-        "3ca4dd9f0d82c00bcdc4368cdc675575891945e54423d8e13e354395fdbddb2f",
+        "c5c31c4d1997548789a67bc818a88dedc409476de73fefb49b0574ddbf4f1496",
         1,
     ),
     # Re-taken for 0.2.3 (one per-qubit map from counts to the matrix),
     # which rounds differently at about 1e-16: d05fbc45... before.
     # Re-taken for 0.2.4 (normalized by the computational-basis count
     # total, no flux): 1d44ac70... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 7f7e6c5d... before.
     "cmp3-poisson": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="white_noise", n=3), 1e5, replicas=8,
             master_seed=7),
-        "7f7e6c5ddad9539a67f969018ab9ddd99fbcda6c76286d8f04a2553a91ffa78d",
+        "0e8df716ad634c9c36db1a005cacf709d9112e85508fa211a7a0f8a85165fa2e",
         1,
     ),
     # 12 replicas at n=4 are one stack, so a two-worker request runs it in
@@ -68,11 +76,13 @@ CASES = {
     # Re-taken for 0.2.5 (per-qubit frequency <-> Pauli blocks), which
     # rounds the overcomplete estimate differently at about 1e-16,
     # with the same counts: 9f4056f8... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 98c11b7d... before.
     "ovc4-dicke-workers2": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="dicke_plus_noise", n=4, q=0.7, k=2),
             ts.CountModel(ts.MULTINOMIAL, 150), replicas=12, master_seed=44),
-        "98c11b7d431016eff9c5082515df5628e5b0e2d51a5834704d582773dd84713b",
+        "88a0d489e7ea2c4bdaf8bab1872c0e3feaa3f77b3e3f3740d801117448063c7b",
         2,
     ),
     # GHZ outcome probabilities tie in pairs, and a multinomial draw splits
@@ -81,11 +91,13 @@ CASES = {
     # Re-taken for 0.2.5 (per-qubit frequency <-> Pauli blocks), which
     # rounds the overcomplete estimate differently at about 1e-16,
     # with the same counts: a2a0f55a... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 15a5341c... before.
     "ovc3-ghz-multinomial": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="ghz_plus_noise", n=3, q=0.7),
             ts.CountModel(ts.MULTINOMIAL, 120), replicas=16, master_seed=36),
-        "15a5341c55ed9dad6aecb7b9f46e250c3fb52cfcb32db851275d3ab961947a82",
+        "2b07c4292823801945a546f2a0e3e919d79c23cf75119010c94edbe274868cec",
         1,
     ),
     # n=2 is the hot workload; 4001 replicas make stacks of 1820, 1820
@@ -93,11 +105,13 @@ CASES = {
     # Re-taken for 0.2.5 (per-qubit frequency <-> Pauli blocks), which
     # rounds the overcomplete estimate differently at about 1e-16,
     # with the same counts: 08261cde... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: 867c5a1a... before.
     "ovc2-wn-partial": (
         lambda: ts.ExperimentConfig.overcomplete(
             ts.StateSpec(kind="white_noise", n=2),
             ts.CountModel(ts.MULTINOMIAL, 100), replicas=4001, master_seed=22),
-        "867c5a1aa749581c0cc5d768fb7188c84e052f53ab56751d88015e5741bd4d4c",
+        "c0d9ec056420a005a6b00c9db3e12a037fede159c956f1586d412351b521e20c",
         1,
     ),
     # at n=1 a replica's whole estimate is one (1, 4) x (4, 4) product of
@@ -106,11 +120,13 @@ CASES = {
     # Re-taken for 0.2.3 (that fused product): 851e58c5... before.
     # Re-taken for 0.2.4 (normalized by the computational-basis count
     # total, no flux): 28ebd310... before.
+    # Re-taken for 0.2.6 (schema 2: no replica index column), whose
+    # rows are the same with ``i,`` cut from each: c3dde0b3... before.
     "cmp1-rank1": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="rank_r_plus_noise", n=1, q=0.6, r=1, seed=12),
             2e4, replicas=40, master_seed=21),
-        "c3dde0b33e12a5f9212671308f9b0fdbe9a27548585c8b2084c349748cc010c6",
+        "8528b7f6fda4af0018b2b9031aeccc185093d8eb47f75ab9a2bc7476ee04f47f",
         1,
     ),
 }
