@@ -37,8 +37,8 @@ comp = ts.run_ensemble(ts.ExperimentConfig.complete(
     ts.StateSpec(kind="white_noise", n=N_QUBITS),
     total_counts=TOTAL, replicas=REPLICAS, master_seed=2))
 
-semi = ts.SemicircleModel.for_state(N_QUBITS, per_setting)
-lap = ts.laplace_model(N_QUBITS, TOTAL)
+semi = over.config.law()
+lap = comp.config.law()
 
 for name, ens, m2_pred in [
     ("overcomplete", over, (semi.radius / 2.0) ** 2),

@@ -29,7 +29,7 @@ print("simulating %d replicas of %d-qubit white-noise tomography at N=%d ..."
       % (REPLICAS, N_QUBITS, EVENTS))
 ensemble = ts.run_ensemble(config)
 
-model = ts.SemicircleModel.for_state(N_QUBITS, EVENTS)
+model = config.law()
 moments = ensemble.moments(6)
 half_sq = (model.radius / 2.0) ** 2
 

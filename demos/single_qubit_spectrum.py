@@ -31,7 +31,7 @@ config = ts.ExperimentConfig.overcomplete(
 print("simulating %d single-qubit reconstructions at N=%d ..."
       % (REPLICAS, EVENTS))
 ensemble = ts.run_ensemble(config)
-model = ts.SingleQubitModel(EVENTS)
+model = config.law()
 
 pooled = ensemble.pooled
 

@@ -137,7 +137,13 @@ def predict(qubits, counts, q, rank, fmt):
               help="signal weight of the q*signal + (1-q)*I/2^n mix")
 @_format_option
 def min_counts_cmd(qubits, q, fmt):
-    """Smallest per-setting N keeping the whole noise bulk positive."""
+    """Rank-1 threshold: smallest per-setting N with a nonnegative rank-1 bulk.
+
+    It is the rank-1 formula at every q, though at q = 0 the state is
+    white noise, whose bulk needs more (45 against 25 at n = 2); a
+    threshold for any state awaits the free-convolution law (ROADMAP
+    item 8).
+    """
     with _library_checks():
         value = models.min_counts(qubits, q)
     if fmt == "table":
@@ -213,24 +219,6 @@ def simulate(qubits, state, q, state_rank, excitations, state_seed, scheme,
 # ---------------------------------------------------------------------------
 
 
-def _overlay_model(config):
-    """Pick the analytic eigenvalue law matching an ensemble's config."""
-    state = config.state
-    n = state.n
-    if config.scheme == COMPLETE:
-        model = models.laplace_model(n, config.total_counts)
-        return model, {"family": "laplace", "center": model.center,
-                       "alpha": model.alpha}
-    counts = config.count_model.events_per_setting
-    if n == 1 and models._signal_rank(n, state.q, state.signal_rank) == 0:
-        model = models.SingleQubitModel(counts)
-        return model, {"family": "single_qubit", "counts": counts,
-                       "normalization": model.normalization}
-    model = models.SemicircleModel.for_state(n, counts, state.q, state.signal_rank)
-    return model, {"family": "semicircle", "center": model.center,
-                   "radius": model.radius, "width": 2.0 * model.radius}
-
-
 @cli.command()
 @click.option("--in", "in_dir", type=click.Path(exists=True, file_okay=False),
               required=True, help="ensemble directory (from simulate)")
@@ -246,7 +234,8 @@ def analyze(in_dir, bins, out_dir, fmt):
     os.makedirs(out_dir, exist_ok=True)
 
     pooled = ensemble.pooled
-    model, model_doc = _overlay_model(ensemble.config)
+    model = ensemble.config.law()
+    model_doc = model.to_json()
 
     hist, edges = np.histogram(pooled, bins=bins)
     density = hist / (pooled.size * np.diff(edges))

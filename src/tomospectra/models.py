@@ -16,8 +16,10 @@ convention requires it (see `min_counts`).
 one place that decides white noise: a state with q = 0, or with a signal
 of rank 0 or 2**n (that signal is I/2**n), has center 2**-n, radius R_0
 and 2**n bulk eigenvalues; any other keeps the center c above and
-2**n - r bulk eigenvalues.
-`physicality_probability` takes the same state.
+2**n - r bulk eigenvalues.  It keeps R_0 at r = 1, while the rank test
+(`gof.estimate_rank`) bands every candidate r, r = 1 included, with R_r.
+`physicality_probability` takes the same state, and
+`ExperimentConfig.law` picks this bulk or another law for a configuration.
 
 The complete projector scheme instead produces a two-sided exponential
 (Laplace) eigenvalue law, and a single qubit has its own closed-form
@@ -110,6 +112,10 @@ class SemicircleModel:
     def support(self):
         return (self.center - self.radius, self.center + self.radius)
 
+    def to_json(self):
+        return {"family": "semicircle", "center": self.center,
+                "radius": self.radius, "width": 2.0 * self.radius}
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         arg = self.radius**2 - (x - self.center) ** 2
@@ -139,13 +145,18 @@ def catalan(k):
 # Printed reference thresholds use the (5/6)**n shorthand for the radius
 # coefficient, so the count threshold does too.
 def min_counts(n, q):
-    """Smallest events-per-setting N making the noise band nonnegative.
+    """The rank-1 threshold: smallest events-per-setting N with a nonnegative rank-1 noise band.
 
     Solves R <= c for a rank-1 signal of weight q:
     N0 = 4 (5/6)**n ((2**n - 1)/(1 - q))**2, rounded up to an integer.
     Thresholds within one part in 10**6 of an integer from above are
     rounded down to it — the convention the reference values use; see the
     companion minimality property in the tests.
+
+    The rank-1 formula holds for every q, q = 0 included, though a state
+    with q = 0 is white noise, whose bulk needs more (45 against 25 at
+    n = 2); a threshold for any state awaits the free-convolution law
+    (ROADMAP item 8).
 
     Diverges as q -> 1 (a pure state needs infinitely many counts for a
     nonnegative linear estimate).
@@ -171,11 +182,12 @@ def physicality_probability(n, counts, q=0.0, r=1):
     The approximation holds while the support clears zero: white noise at
     N=100 with n=2 (c - R = +0.084) is predicted always physical and
     measured unphysical at a rate of 3e-6.  Once the edge crosses zero it
-    still matches at n=3 (c - R = -0.027): 0.6985 predicted against 0.697
-    measured over 10**4 replicas.  At n=4 it is too optimistic, because
-    the eigenvalues of one replica repel and its smallest one is not the
-    minimum of independent draws: it predicts 0.0175 against no physical
-    replica in 10**4.
+    still roughly matches at n=3 (c - R = -0.027): 0.6985 predicted
+    against 0.6928 +- 0.0019 measured over 6 x 10**4 replicas (seeds 35,
+    53 and 531 pooled), about 3 standard errors high.  At n=4 it is too
+    optimistic, because the eigenvalues of one replica repel and its
+    smallest one is not the minimum of independent draws: it predicts
+    0.0175 against no physical replica in 10**4.
     """
     model = SemicircleModel.for_state(n, counts, q, r)
     lo = max(0.0, model.center - model.radius)
@@ -214,6 +226,9 @@ class LaplaceModel:
     @property
     def second_central_moment(self):
         return 2.0 / self.alpha**2
+
+    def to_json(self):
+        return {"family": "laplace", "center": self.center, "alpha": self.alpha}
 
 
 def laplace_model(n, total_counts):
@@ -263,6 +278,10 @@ class SingleQubitModel:
     @property
     def normalization(self):
         return math.sqrt(2.0 / math.pi) * self.counts**1.5
+
+    def to_json(self):
+        return {"family": "single_qubit", "counts": self.counts,
+                "normalization": self.normalization}
 
     def pdf(self, x):
         u = _capped_u(np.asarray(x, dtype=float))

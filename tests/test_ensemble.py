@@ -33,6 +33,8 @@ from tomospectra.ensemble import (
     save_ensemble,
 )
 from tomospectra.estimation import build_complete_frame
+from tomospectra.models import (LaplaceModel, SemicircleModel, SingleQubitModel, laplace_model,
+                                semicircle_center, semicircle_radius)
 from tomospectra.pauli import StateSpec, build_state
 from tomospectra.sampling import MULTINOMIAL, POISSON, CountModel, stream
 from tomospectra.schemas import load_schema
@@ -114,6 +116,31 @@ def test_config_json_round_trip():
         ),
     ):
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+def _overcomplete_at_100(kind, n, **state):
+    return ExperimentConfig.overcomplete(StateSpec(kind=kind, n=n, **state),
+                                         CountModel(MULTINOMIAL, 100), replicas=1)
+
+
+@pytest.mark.parametrize("config, law", [
+    (ExperimentConfig.complete(StateSpec(kind="white_noise", n=2), 3e4, replicas=1),
+     LaplaceModel(center=0.25, alpha=laplace_model(2, 3e4).alpha)),
+    (_overcomplete_at_100("white_noise", 1), SingleQubitModel(100)),
+    (_overcomplete_at_100("pure_plus_noise", 1, q=0.0), SingleQubitModel(100)),
+    (_overcomplete_at_100("rank_r_plus_noise", 1, q=0.5, r=2), SingleQubitModel(100)),
+    (_overcomplete_at_100("pure_plus_noise", 1, q=0.5),
+     SemicircleModel(center=0.5, radius=semicircle_radius(1, 100))),
+    (_overcomplete_at_100("rank_r_plus_noise", 2, q=0.5, r=4),
+     SemicircleModel(center=0.25, radius=semicircle_radius(2, 100))),
+    # Poisson totals keep the multinomial bulk at their mean N
+    (ExperimentConfig.overcomplete(StateSpec(kind="ghz_plus_noise", n=3, q=0.6),
+                                   CountModel(POISSON, 200), replicas=1),
+     SemicircleModel(center=semicircle_center(3, 0.6, 1), radius=semicircle_radius(3, 200))),
+], ids=["complete", "wn-n1", "pure-q0-n1", "rank2-n1", "pure-n1", "rank4-n2", "ghz-poisson"])
+def test_a_config_picks_its_law(config, law):
+    """`ExperimentConfig.law` picks the family from the config alone, with no run."""
+    assert config.law() == law
 
 
 # --- running -------------------------------------------------------------------

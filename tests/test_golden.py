@@ -171,6 +171,19 @@ ANALYZE_CASES = {
             "133ca02b53c9c81953f8dd256808e75c56144eebc5c94e0da5f77a0e0467bb5c",
         ),
     ),
+    # Poisson totals M get the multinomial bulk at their mean N, though
+    # their m2 is N E[1/M | M >= 1] times larger: a Poisson radius of
+    # its own moves these digests on purpose.
+    "semicircle_poisson": (
+        lambda: ts.ExperimentConfig.overcomplete(
+            ts.StateSpec(kind="ghz_plus_noise", n=3, q=0.6),
+            ts.CountModel(ts.POISSON, 200), replicas=20, master_seed=6),
+        (
+            "9c60e5394f70be1f4c0ceb70c554d3cf5819717d1ddec29014fc5676e1284b34",
+            "acb5ee000835fceab041d816faa1bdf0d17d061847e41db95b8edbe9ee23ccf7",
+            "bd2cd105ff9ecebacb7c8fd4f63e2ff552031b0b1e126d40145743ce49c1557c",
+        ),
+    ),
     "laplace": (
         lambda: ts.ExperimentConfig.complete(
             ts.StateSpec(kind="white_noise", n=2), 3e4, replicas=20,

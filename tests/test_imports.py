@@ -73,6 +73,18 @@ def test_the_born_rule_lives_in_estimation_only():
     assert len(numpy_calls(package / "estimation.py", {"clip"})) == 1
 
 
+def test_the_law_choice_lives_in_the_library_only():
+    """``cli`` names no law constructor: ``ExperimentConfig.law`` picks the law for ``analyze``.
+
+    While ``cli`` held its own copy of the choice, the library had no
+    answer to which law describes an ensemble.
+    """
+    tree = ast.parse((ROOT / "src" / "tomospectra" / "cli.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert names & {"laplace_model", "SingleQubitModel"} == set()
+
+
 def test_benchmark_tracer_names_exist_on_ensemble():
     """Every call the benchmark tracer wraps is still looked up on ``ensemble``.
 
