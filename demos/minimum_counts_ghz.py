@@ -22,7 +22,7 @@ Q = 0.8
 REPLICAS = 4000
 
 n0 = ts.min_counts(N_QUBITS, Q)
-center = ts.SemicircleModel.for_state(N_QUBITS, n0, Q, 1).center
+center = ts.overcomplete_law(N_QUBITS, n0, Q, 1).center
 print("state: %.1f * GHZ + %.1f * I/16 on %d qubits" % (Q, 1 - Q, N_QUBITS))
 print("noise-bulk center c = %.6f" % center)
 print("count threshold  N0 = %d events per setting" % n0)
@@ -38,7 +38,7 @@ for label, events in [("N0 / 4", n0 // 4), ("N0 / 2", n0 // 2), ("N0", n0),
     )
     ensemble = ts.run_ensemble(config)
     physical = 1.0 - ensemble.unphysical_fraction()
-    edge = ts.SemicircleModel.for_state(N_QUBITS, events, Q, 1).support[0]
+    edge = ts.overcomplete_law(N_QUBITS, events, Q, 1).support[0]
     print("  N = %-6d (%-6s):  edge c - R = %+.6f   physical fraction %.4f"
           % (events, label, edge, physical))
 

@@ -8,7 +8,9 @@ number, and the fraction of unphysical estimates jumps from "almost
 never" to "always" within a couple of qubits.
 
 The script measures that jump at N = 100 and compares it with the
-independent-eigenvalue estimate of the physicality probability.
+physicality probability of the law `overcomplete_law` gives each state:
+the one-qubit law at n = 1, which has no semicircle edge, and the
+independent-eigenvalue estimate of the semicircle bulk from n = 2 on.
 """
 
 import math
@@ -30,10 +32,10 @@ for n in (1, 2, 3, 4):
         master_seed=100 + n,
     )
     fraction = ts.run_ensemble(config).unphysical_fraction()
-    model = ts.SemicircleModel.for_state(n, EVENTS)
-    edge = model.center - model.radius
+    law = ts.overcomplete_law(n, EVENTS)
+    edge = "%+.5f" % law.support[0] if isinstance(law, ts.SemicircleModel) else "(one-qubit law)"
     physical = ts.physicality_probability(n, EVENTS)
-    print("  %d   %-9.5f   %-8d   %+.5f                  %.5f"
+    print("  %d   %-9.5f   %-8d   %-23s   %.5f"
           % (n, fraction, REPLICAS[n], edge, physical))
 
 print()

@@ -38,6 +38,7 @@ from .models import (
     catalan,
     laplace_model,
     min_counts,
+    overcomplete_law,
     physicality_probability,
     semicircle_center,
     semicircle_radius,

@@ -111,19 +111,16 @@ def cli():
                    "[default: 0 for q=0, else 1]")
 @_format_option
 def predict(qubits, counts, q, rank, fmt):
-    """Predict the noise-bulk semicircle for given n, N, q, r."""
+    """Predict the law that analyze overlays, and its physicality, at n, N, q, r."""
     if rank is None:
         rank = 0 if q == 0 else 1
     with _library_checks():
-        model = models.SemicircleModel.for_state(qubits, counts, q, rank)
         doc = {
             "qubits": qubits,
             "counts": counts,
             "signal_weight": q,
             "rank": rank,
-            "center": model.center,
-            "radius": model.radius,
-            "width": 2.0 * model.radius,
+            **models.overcomplete_law(qubits, counts, q, rank).to_json(),
             "physicality_probability": models.physicality_probability(qubits, counts, q, rank),
         }
         if models._signal_rank(qubits, q, rank) == 1:  # min_counts is the rank-1 threshold

@@ -49,7 +49,7 @@ from .estimation import (
     reconstruct_from_values,
     setting_probability_table,
 )
-from .models import SemicircleModel, SingleQubitModel, _signal_rank, laplace_model
+from .models import laplace_model, overcomplete_law
 from .pauli import (StateSpec, _integer, _known_keys, _positive, _seed, build_state,
                     correlation_tensor_values)
 from .sampling import _INDICES, MULTINOMIAL, CountModel, EmptySettingError, draw_stack, stream
@@ -144,19 +144,15 @@ class ExperimentConfig:
     def law(self):
         """The analytic eigenvalue law of this configuration's spectra.
 
-        The complete scheme gets the Laplace law of its budget.  An
-        overcomplete one-qubit state that is white noise (see
-        `models._signal_rank`) gets the one-qubit law, and every other
-        state the semicircle bulk of `SemicircleModel.for_state`.  A
-        Poisson count model gets the multinomial bulk at its mean N.
+        The complete scheme gets the Laplace law of its budget, and the
+        overcomplete scheme `models.overcomplete_law` for its state.  A
+        Poisson count model gets the multinomial law at its mean N.
         """
-        n, q, r = self.state.n, self.state.q, self.state.signal_rank
+        state = self.state
         if self.scheme == COMPLETE:
-            return laplace_model(n, self.total_counts)
-        counts = self.count_model.events_per_setting
-        if n == 1 and _signal_rank(n, q, r) == 0:
-            return SingleQubitModel(counts)
-        return SemicircleModel.for_state(n, counts, q, r)
+            return laplace_model(state.n, self.total_counts)
+        return overcomplete_law(state.n, self.count_model.events_per_setting, state.q,
+                                state.signal_rank)
 
     def to_json(self):
         doc = {

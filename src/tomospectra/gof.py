@@ -209,7 +209,7 @@ def estimate_rank(spectrum, n, counts, significance=0.05, max_rank=None):
         Events per setting N used for the measurement; sets the radius.
         Every candidate r, r = 1 included, gets the rank-corrected R_r
         (the paper's table: R_1 = 0.075719 at n=6, N=230), where
-        `SemicircleModel.for_state` keeps R_0 at r = 1.
+        `models.overcomplete_law` keeps R_0 at r = 1.
     significance : float
         Acceptance threshold for the effective P-value, a real number
         strictly between 0 and 1.

@@ -12,21 +12,23 @@ m2 = (R/2)**2 exact for multinomial sampling; the familiar (5/6)**(n/2)
 form is its large-n shorthand and is used only where a printed threshold
 convention requires it (see `min_counts`).
 
-`SemicircleModel.for_state` is the one constructor of that bulk and the
-one place that decides white noise: a state with q = 0, or with a signal
-of rank 0 or 2**n (that signal is I/2**n), has center 2**-n, radius R_0
-and 2**n bulk eigenvalues; any other keeps the center c above and
-2**n - r bulk eigenvalues.  It keeps R_0 at r = 1, while the rank test
+`overcomplete_law` is the one constructor of the overcomplete scheme's
+law and the one place that decides white noise: a state with q = 0, or
+with a signal of rank 0 or 2**n (that signal is I/2**n), is white noise.
+At one qubit white noise gets the one-qubit law (`SingleQubitModel`);
+any other white noise has center 2**-n, radius R_0 and 2**n bulk
+eigenvalues, and any other state keeps the center c above and 2**n - r
+bulk eigenvalues.  It keeps R_0 at r = 1, while the rank test
 (`gof.estimate_rank`) bands every candidate r, r = 1 included, with R_r.
-`physicality_probability` takes the same state, and
-`ExperimentConfig.law` picks this bulk or another law for a configuration.
+`physicality_probability` reads the same law, and `ExperimentConfig.law`
+picks it or the Laplace law for a configuration.
 
 The complete projector scheme instead produces a two-sided exponential
 (Laplace) eigenvalue law, and a single qubit has its own closed-form
 density, a Gaussian approximation of the count lattice; both are
 provided here, together with the even-moment Catalan identities
-and the probability that a semicircle-distributed spectrum is entirely
-nonnegative.
+and the probability that a spectrum drawn from the overcomplete law is
+entirely nonnegative.
 """
 
 import math
@@ -94,20 +96,6 @@ class SemicircleModel:
         object.__setattr__(self, "center", _real("center", self.center))
         object.__setattr__(self, "radius", _positive("radius", self.radius))
 
-    @classmethod
-    def for_state(cls, n, counts, q=0.0, r=1):
-        """The noise bulk of a q-weighted rank-r signal mixed into white noise.
-
-        r lies in 0..2**n.  White noise (see `_signal_rank`) has center
-        2**-n and radius R_0; the defaults give it.  Otherwise the center
-        is (1 - q)/(2**n - r).  A single signal eigenvalue barely deforms
-        the bulk, so r = 1 keeps the unshrunk radius R_0; r >= 2 gets the
-        rank correction R_r.
-        """
-        r = _signal_rank(n, q, r)
-        return cls(semicircle_center(n, q if r else 0.0, r),
-                   semicircle_radius(n, counts, r if r > 1 else 0))
-
     @property
     def support(self):
         return (self.center - self.radius, self.center + self.radius)
@@ -169,29 +157,60 @@ def min_counts(n, q):
     return math.ceil(exact * (1.0 - 1e-6))
 
 
+def overcomplete_law(n, counts, q=0.0, r=1):
+    """The overcomplete scheme's eigenvalue law for a q-weighted rank-r state at N = ``counts``.
+
+    ``counts`` is an integer >= 1 and r lies in 0..2**n.  One-qubit white
+    noise (see `_signal_rank`; the defaults give white noise) gets
+    `SingleQubitModel`.  Every other state gets its noise-bulk semicircle:
+    white noise has center 2**-n and radius R_0; otherwise the center is
+    (1 - q)/(2**n - r).  A single signal eigenvalue barely deforms the
+    bulk, so r = 1 keeps the unshrunk radius R_0; r >= 2 gets the rank
+    correction R_r.
+    """
+    counts = _integer("counts", counts, 1)
+    r = _signal_rank(n, q, r)
+    if n == 1 and r == 0:
+        return SingleQubitModel(counts)
+    return SemicircleModel(semicircle_center(n, q if r else 0.0, r),
+                           semicircle_radius(n, counts, r if r > 1 else 0))
+
+
 def physicality_probability(n, counts, q=0.0, r=1):
     """Probability that every noise eigenvalue of a q-weighted rank-r state is nonnegative.
 
-    Builds the bulk with `SemicircleModel.for_state` and treats its
-    eigenvalues as independent semicircle draws (the signal eigenvalues
-    sit far above zero and are excluded): the semicircle mass on
-    [max(0, c - R), c + R], raised to the bulk's own eigenvalue count,
-    2**n for white noise and 2**n - r otherwise.  Equals 1 as soon as
-    the support is entirely nonnegative (c >= R).
+    Reads the law of `overcomplete_law`.  The one-qubit law pools the two
+    eigenvalues (1 +- |T~|)/2, symmetric about 1/2, and only the smaller
+    one can go negative, so the probability is 1 - 2 cdf(0): the chi-square
+    (3 degrees of freedom) form erf(sqrt(N/2)) - sqrt(2N/pi) exp(-N/2).
+    A semicircle bulk's eigenvalues are treated as independent draws (the
+    signal eigenvalues sit far above zero and are excluded): the
+    semicircle mass on [max(0, c - R), c + R], raised to the bulk's own
+    eigenvalue count, 2**n for white noise and 2**n - r otherwise.  That
+    equals 1 as soon as the support is entirely nonnegative (c >= R).
 
-    The approximation holds while the support clears zero: white noise at
-    N=100 with n=2 (c - R = +0.084) is predicted always physical and
-    measured unphysical at a rate of 3e-6.  Once the edge crosses zero it
-    still roughly matches at n=3 (c - R = -0.027): 0.6985 predicted
-    against 0.6928 +- 0.0019 measured over 6 x 10**4 replicas (seeds 35,
-    53 and 531 pooled), about 3 standard errors high.  At n=4 it is too
-    optimistic, because the eigenvalues of one replica repel and its
-    smallest one is not the minimum of independent draws: it predicts
+    At one qubit neither law holds for N <= 5, because the counts sit on a
+    lattice of step 2/N.  Physical fractions of one-qubit white noise,
+    10**5 replicas each (master seed 901), against the one-qubit law and
+    the semicircle of center 1/2 and radius R_0: 0.4207 +- 0.0016 against
+    0.6084 and 0.6472 at N=3, 0.7919 +- 0.0013 against 0.8282 and 0.7749
+    at N=5, 0.9838 +- 0.0004 against 0.9814 and 0.9698 at N=10.
+
+    The semicircle approximation holds while the support clears zero:
+    white noise at N=100 with n=2 (c - R = +0.084) is predicted always
+    physical and measured unphysical at a rate of 3e-6.  Once the edge
+    crosses zero it still roughly matches at n=3 (c - R = -0.027): 0.6985
+    predicted against 0.6928 +- 0.0019 measured over 6 x 10**4 replicas
+    (seeds 35, 53 and 531 pooled), about 3 standard errors high.  At n=4
+    it is too optimistic, because the eigenvalues of one replica repel and
+    its smallest one is not the minimum of independent draws: it predicts
     0.0175 against no physical replica in 10**4.
     """
-    model = SemicircleModel.for_state(n, counts, q, r)
-    lo = max(0.0, model.center - model.radius)
-    mass = model.cdf(model.center + model.radius) - model.cdf(lo)
+    law = overcomplete_law(n, counts, q, r)
+    if isinstance(law, SingleQubitModel):
+        return 1.0 - 2.0 * law.cdf(0.0)
+    lo = max(0.0, law.center - law.radius)
+    mass = law.cdf(law.center + law.radius) - law.cdf(lo)
     mass = min(max(mass, 0.0), 1.0)
     return mass ** (2**n - _signal_rank(n, q, r))
 

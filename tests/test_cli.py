@@ -41,6 +41,7 @@ def test_predict_white_noise(capsys):
     doc = run_json(capsys, "predict", "--qubits", "6", "--counts", "100")
     validate(doc, "predict")
     assert doc["rank"] == 0
+    assert doc["family"] == "semicircle"
     assert doc["center"] == pytest.approx(1 / 64, rel=1e-12)
     assert doc["radius"] == pytest.approx(0.115741, abs=1e-6)
     assert doc["width"] == pytest.approx(2 * doc["radius"], rel=1e-12)
@@ -64,11 +65,21 @@ def test_predict_with_signal(capsys):
 def test_predict_table_output(capsys):
     code, out, _ = run_cli(capsys, "predict", "--qubits", "2", "--counts", "400")
     assert code == 0
-    lines = dict(line.split(None, 1) for line in out.strip().splitlines())
+    rows = [line.split(None, 1) for line in out.strip().splitlines()]
+    assert [key for key, _ in rows] == ["qubits", "counts", "signal_weight", "rank", "family",
+                                        "center", "radius", "width", "physicality_probability"]
+    lines = dict(rows)
+    assert lines["family"].strip() == "semicircle"
     assert lines["center"].strip() == "0.25"
     assert float(lines["radius"]) == pytest.approx(
         models.semicircle_radius(2, 400), abs=1e-6
     )
+    # one-qubit white noise: the one-qubit law's block, in the same place
+    code, out, _ = run_cli(capsys, "predict", "--qubits", "1", "--counts", "400")
+    assert code == 0
+    assert [line.split()[0] for line in out.strip().splitlines()] == [
+        "qubits", "counts", "signal_weight", "rank", "family", "normalization",
+        "physicality_probability"]
 
 
 @pytest.mark.parametrize(
@@ -345,22 +356,28 @@ def test_analyze_reads_a_full_rank_signal_as_white_noise(tmp_path, capsys):
     assert doc["model"]["radius"] == models.semicircle_radius(2, 100)
 
 
-@pytest.mark.parametrize("rank", ["2", "4"])
-def test_predict_and_analyze_build_one_bulk(tmp_path, capsys, rank):
-    """For one state, `predict` and `analyze`'s overlay give the same semicircle.
+@pytest.mark.parametrize("qubits, q, rank, state", [
+    pytest.param("2", "0.5", "2", "rank", id="2"),
+    pytest.param("2", "0.5", "4", "rank", id="4"),
+    pytest.param("1", "0", "0", "wn", id="n1-wn"),
+    pytest.param("1", "0.5", "2", "rank", id="n1-rank2"),
+])
+def test_predict_and_analyze_build_one_bulk(tmp_path, capsys, qubits, q, rank, state):
+    """For one state, `predict` reports the law block that `analyze` overlays.
 
-    A rank-4 signal at n=2 is I/4: `predict` reports it as asked, with
-    the white-noise bulk.
+    A rank-2**n signal is I/2**n: `predict` reports it as asked, with the
+    white-noise law, which at one qubit is the one-qubit law.
     """
-    predicted = run_json(capsys, "predict", "--qubits", "2", "--counts", "100",
-                         "--q", "0.5", "--rank", rank)
+    predicted = run_json(capsys, "predict", "--qubits", qubits, "--counts", "100",
+                         "--q", q, "--rank", rank)
     validate(predicted, "predict")
     assert predicted["rank"] == int(rank)
-    ens_dir = simulate_small(tmp_path, capsys, state="rank", state_rank=rank, q="0.5",
-                             counts="100", reps="20")
+    ens_dir = simulate_small(tmp_path, capsys, qubits=qubits, state=state, state_rank=rank,
+                             q=q, counts="100", reps="20")
     overlay = run_json(capsys, "analyze", "--in", str(ens_dir))["model"]
-    assert (overlay["center"], overlay["radius"]) == (predicted["center"], predicted["radius"])
-    if rank == "4":
+    assert {key: predicted[key] for key in overlay} == overlay
+    assert overlay["family"] == ("single_qubit" if qubits == "1" else "semicircle")
+    if (qubits, rank) == ("2", "4"):
         assert predicted["center"] == 0.25
         assert predicted["radius"] == models.semicircle_radius(2, 100)
 

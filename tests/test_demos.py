@@ -1,11 +1,11 @@
 """The demos and the README's examples still match the package.
 
-The demos that replay replicas through the estimator, and the two that
-take about a second, run to completion: each runs in a fresh interpreter
-with ``src`` on the import path, as ``python demos/<name>.py`` would from
-the repository root.  ``unphysical_rates.py`` and ``minimum_counts_ghz.py``
-(2 and 6 s) are left to the name check: every ``tomospectra`` name that a
-demo or a README ``python`` block uses is read with ``ast`` and resolved.
+The demos that replay replicas through the estimator, and the ones that
+take a few seconds at most, run to completion: each runs in a fresh
+interpreter with ``src`` on the import path, as ``python demos/<name>.py``
+would from the repository root.  ``minimum_counts_ghz.py`` (6 s) is left
+to the name check: every ``tomospectra`` name that a demo or a README
+``python`` block uses is read with ``ast`` and resolved.
 """
 
 import ast
@@ -58,13 +58,25 @@ def test_semicircle_noise_floor_demo():
     assert "m4/m2^2 = 1.9985   (Catalan: 2)" in out
 
 
+def test_unphysical_rates_demo():
+    """Runtime ~2.6 s: white noise at N=100 for n = 1..4; n = 1 reads the one-qubit law."""
+    out = run_demo("unphysical_rates.py")
+    assert "  1   0.00000     20000      (one-qubit law)           1.00000" in out
+    for row in ("  2   0.00000     20000      +0.08417                  1.00000",
+                "  3   0.30640     5000       -0.02707                  0.69855",
+                "  4   1.00000     2000       -0.07638                  0.01747",
+                "  2   44            25", "  4   494           435",
+                "  6   5487          5317", "  8   60967         60491"):
+        assert row in out
+
+
 def tomospectra_names(source):
     """Every dotted ``tomospectra`` name ``source`` uses, as (module, attribute path).
 
     A name bound by ``import tomospectra[.sub] [as x]`` or ``from
     tomospectra[.sub] import y [as x]`` is followed through each attribute
-    chain rooted at it, so ``ts.SemicircleModel.for_state`` yields
-    ("tomospectra", ("SemicircleModel", "for_state")).
+    chain rooted at it, so ``ts.models.overcomplete_law`` yields
+    ("tomospectra", ("models", "overcomplete_law")).
     """
     tree = ast.parse(source)
     bound, names = {}, set()
@@ -127,11 +139,11 @@ def test_every_tomospectra_name_a_demo_or_the_readme_uses_exists(name):
 def test_the_name_reader_follows_imports_and_attribute_chains():
     source = ("import tomospectra as ts\n"
               "from tomospectra.gof import estimate_rank as er\n"
-              "ts.SemicircleModel.for_state(2, 100).radius\n"
+              "ts.models.overcomplete_law(2, 100).radius\n"
               "er.missing\n")
     assert tomospectra_names(source) == {
-        ("tomospectra", ()), ("tomospectra", ("SemicircleModel",)),
-        ("tomospectra", ("SemicircleModel", "for_state")),
+        ("tomospectra", ()), ("tomospectra", ("models",)),
+        ("tomospectra", ("models", "overcomplete_law")),
         ("tomospectra.gof", ("estimate_rank",)), ("tomospectra.gof", ("estimate_rank", "missing"))}
     with pytest.raises(AttributeError):
         resolves("tomospectra.gof", ("estimate_rank", "missing"))

@@ -2,9 +2,13 @@
 
 import functools
 import hashlib
+import inspect
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -235,6 +239,33 @@ def test_pool_workers_run_one_blas_thread_and_leave_the_parent_alone(monkeypatch
     pooled = run_ensemble(config, workers=2)
     assert _blas_threads() == parent
     assert pooled.spectra.tobytes() == plain.spectra.tobytes()
+
+
+def test_the_pool_initializer_sets_one_blas_thread():
+    """`_one_blas_thread` runs only in forked workers, so here it runs in a fresh interpreter.
+
+    The environment leaves out every thread-count variable, so OpenBLAS
+    starts with its default pool, one thread per core.
+    """
+    script = inspect.getsource(_blas_threads) + (
+        "import os\n"
+        "import numpy as np\n"
+        "import tomospectra.ensemble as ensemble\n"
+        "before = _blas_threads()\n"
+        "ensemble._one_blas_thread()\n"
+        "print(before, _blas_threads())\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    if before in ("None", "1"):
+        pytest.skip("no bundled OpenBLAS to ask, or it already runs one thread")
+    assert after == "1"
 
 
 def test_run_ensemble_builds_the_probability_table_once(monkeypatch):

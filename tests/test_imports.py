@@ -74,15 +74,23 @@ def test_the_born_rule_lives_in_estimation_only():
 
 
 def test_the_law_choice_lives_in_the_library_only():
-    """``cli`` names no law constructor: ``ExperimentConfig.law`` picks the law for ``analyze``.
+    """``cli`` names no law constructor and ``ensemble`` no law class.
 
-    While ``cli`` held its own copy of the choice, the library had no
-    answer to which law describes an ensemble.
+    ``models.overcomplete_law`` and ``ExperimentConfig.law`` choose the
+    law.  While ``cli`` held its own copy of the choice, the library had
+    no answer to which law describes an ensemble, and while ``predict``
+    built its own semicircle, it reported another law than the one
+    ``analyze`` overlaid at n = 1.
     """
-    tree = ast.parse((ROOT / "src" / "tomospectra" / "cli.py").read_text())
-    names = {getattr(node, "id", None) or getattr(node, "attr", None) or node.name
-             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
-    assert names & {"laplace_model", "SingleQubitModel"} == set()
+    def names(module):
+        tree = ast.parse((ROOT / "src" / "tomospectra" / module).read_text())
+        return {getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+    constructors = {"SemicircleModel", "SingleQubitModel", "for_state"}
+    assert names("cli.py") & (constructors | {"laplace_model"}) == set()
+    assert names("ensemble.py") & constructors == set()
 
 
 def test_benchmark_tracer_names_exist_on_ensemble():

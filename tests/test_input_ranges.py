@@ -17,6 +17,7 @@ from tomospectra.models import (
     SemicircleModel,
     SingleQubitModel,
     catalan,
+    overcomplete_law,
     semicircle_center,
     semicircle_radius,
 )
@@ -54,6 +55,7 @@ def config(replicas=2, master_seed=0):
     (lambda: SemicircleModel(0.1, 0.2).central_moment(0), "moment order must be >= 1, got 0"),
     (lambda: catalan(-1), "k must be >= 0, got -1"),
     (lambda: SingleQubitModel(0), "counts must be >= 1, got 0"),
+    (lambda: overcomplete_law(3, 100.5), "counts must be an integer, got 100.5"),
     (lambda: CountModel(events_per_setting=0), "events per setting must be >= 1, got 0"),
     (lambda: config(replicas=0), "replicas must lie in 1..4294967296, got 0"),
     (lambda: config(replicas=2**32 + 1), "replicas must lie in 1..4294967296, got 4294967297"),
@@ -62,7 +64,7 @@ def config(replicas=2, master_seed=0):
     (lambda: estimate_rank(FLAT8, 3, 100, max_rank=4), "max_rank must lie in 0..3, got 4"),
 ], ids=["seed", "master-seed", "dense-n", "frame-n", "q", "law-q", "state-r", "state-k",
         "dicke-k", "law-n", "law-r", "radius-counts", "moment-k", "catalan-k",
-        "one-qubit-counts", "events", "replicas", "replicas-high", "k-max", "workers", "max-rank"])
+        "one-qubit-counts", "law-counts", "events", "replicas", "replicas-high", "k-max", "workers", "max-rank"])
 def test_an_input_out_of_range_names_itself_its_range_and_its_value(call, message):
     with pytest.raises(ValueError) as info:
         call()

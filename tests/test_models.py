@@ -15,6 +15,7 @@ from tomospectra.models import (
     catalan,
     laplace_model,
     min_counts,
+    overcomplete_law,
     physicality_probability,
     semicircle_center,
     semicircle_radius,
@@ -50,18 +51,18 @@ def test_radius_rank_correction():
 
 
 def test_for_state_keeps_unshrunk_radius_for_one_signal_eigenvalue():
-    single = SemicircleModel.for_state(6, 230, 0.8, 1)
+    single = overcomplete_law(6, 230, 0.8, 1)
     assert single.center == semicircle_center(6, 0.8, 1)
     assert single.radius == semicircle_radius(6, 230, 0)
     # r > 1 gets the rank correction
-    assert SemicircleModel.for_state(6, 230, 0.8, 3) == SemicircleModel(
+    assert overcomplete_law(6, 230, 0.8, 3) == SemicircleModel(
         semicircle_center(6, 0.8, 3), semicircle_radius(6, 230, 3))
     # r = 1 without signal weight is the state I/2**n: the white-noise bulk
-    assert SemicircleModel.for_state(6, 230, 0.0, 1) == SemicircleModel(
+    assert overcomplete_law(6, 230, 0.0, 1) == SemicircleModel(
         2.0**-6, semicircle_radius(6, 230))
     # the white-noise bulk is the default and the q = 0, r = 0 state
-    assert SemicircleModel.for_state(6, 230) == SemicircleModel.for_state(6, 230, 0.0, 0)
-    assert SemicircleModel.for_state(6, 230) == SemicircleModel(2.0**-6, semicircle_radius(6, 230))
+    assert overcomplete_law(6, 230) == overcomplete_law(6, 230, 0.0, 0)
+    assert overcomplete_law(6, 230) == SemicircleModel(2.0**-6, semicircle_radius(6, 230))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -75,9 +76,9 @@ def test_for_state_is_the_one_white_noise_rule(n, q, r):
     """
     dim, counts = 2**n, 1
     r = {"0": 0, "1": 1, "2": 2, "dim-1": dim - 1, "dim": dim}[r]
-    model = SemicircleModel.for_state(n, counts, q, r)
+    model = overcomplete_law(n, counts, q, r)
     if q == 0 or r in (0, dim):
-        assert model == SemicircleModel.for_state(n, counts)
+        assert model == overcomplete_law(n, counts)
         assert model == SemicircleModel(1.0 / dim, semicircle_radius(n, counts))
         count = dim
     else:
@@ -89,7 +90,7 @@ def test_for_state_is_the_one_white_noise_rule(n, q, r):
     assert physicality_probability(n, counts, q, r) == pytest.approx(mass**count, rel=1e-12)
 
 
-@pytest.mark.parametrize("call", [SemicircleModel.for_state, physicality_probability],
+@pytest.mark.parametrize("call", [overcomplete_law, physicality_probability],
                          ids=["for-state", "physicality"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_signal_rank_lies_in_0_to_2_to_the_n(call, n):
@@ -119,7 +120,7 @@ _FLAT8 = np.full(8, 0.125)
 @pytest.mark.parametrize("call", [
     lambda q: StateSpec(kind="ghz_plus_noise", n=2, q=q),
     lambda q: semicircle_center(2, q),
-    lambda q: SemicircleModel.for_state(3, 100, q, 1),
+    lambda q: overcomplete_law(3, 100, q, 1),
     lambda q: min_counts(2, q),
 ], ids=["state", "center", "for-state", "min-counts"])
 @pytest.mark.parametrize("q, message", [
@@ -146,7 +147,7 @@ def test_signal_weight_is_one_rule(call, q, message):
     (lambda r: estimate_rank(_FLAT8, 3, 100, max_rank=r), 1),
     (lambda r: semicircle_center(3, 0.5, r), 1),
     (lambda r: semicircle_radius(3, 100, r), 1),
-    (lambda r: SemicircleModel.for_state(3, 100, 0.5, r), 2),
+    (lambda r: overcomplete_law(3, 100, 0.5, r), 2),
 ], ids=["counts", "n", "laplace-n", "min-counts-n", "catalan-k", "moment-k",
         "rank-n", "max-rank", "center-rank", "radius-rank", "for-state-rank"])
 def test_integer_arguments_reject_floats_and_bools(call, value):
@@ -161,7 +162,7 @@ def test_integer_arguments_reject_floats_and_bools(call, value):
 
 
 def test_pdf_normalization_and_support():
-    model = SemicircleModel.for_state(3, 500)
+    model = overcomplete_law(3, 500)
     lo, hi = model.support
     mass, _ = integrate.quad(model.pdf, lo, hi)
     assert mass == pytest.approx(1.0, abs=1e-10)
@@ -270,13 +271,13 @@ def test_min_counts_divergence():
 def test_physicality_probability_saturates_at_threshold():
     n, q = 6, 0.8
     n0 = min_counts(n, q)
-    model = SemicircleModel.for_state(n, n0, q, 1)
+    model = overcomplete_law(n, n0, q, 1)
     assert model.center - model.radius > 0  # threshold really clears zero
     assert physicality_probability(n, n0, q, 1) == 1.0
 
 
 def test_physicality_probability_below_threshold():
-    model = SemicircleModel.for_state(6, 120000, 0.8, 1)
+    model = overcomplete_law(6, 120000, 0.8, 1)
     assert model.center - model.radius < 0
     p = physicality_probability(6, 120000, 0.8, 1)
     assert 0.0 < p < 1.0
@@ -315,6 +316,15 @@ def test_physicality_probability_matches_at_n3_and_overestimates_at_n4():
 def test_physicality_probability_tiny_counts():
     # deep in the unphysical regime almost every replica has a negative tail
     assert physicality_probability(6, 100) < 1e-6
+
+
+@pytest.mark.parametrize("counts", [1, 3, 10, 30, 100])
+def test_one_qubit_physicality_is_the_chi_square_3_form(counts):
+    """|T~|**2 N is chi-square with 3 degrees of freedom, and a state needs |T~| <= 1."""
+    assert isinstance(overcomplete_law(1, counts), SingleQubitModel)
+    chi2_3 = (math.erf(math.sqrt(counts / 2.0))
+              - math.sqrt(2.0 * counts / math.pi) * math.exp(-counts / 2.0))
+    assert abs(physicality_probability(1, counts) - chi2_3) <= 1e-14
 
 
 # --- Laplace law (projector scheme) -------------------------------------------
